@@ -94,12 +94,20 @@ def compact_svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> CompactSvd:
     w = w_full[:, :r].copy()
     v = vt_full[:r].T.copy()
     sigma = s_full[:r].copy()
-    for j in range(r):
-        nz = np.flatnonzero(v[:, j])
-        if nz.size and v[nz[0], j] < 0.0:
-            v[:, j] *= -1.0
-            w[:, j] *= -1.0
+    _fix_signs(w, v)
     return CompactSvd(w=w, sigma=sigma, v=v, rank=r)
+
+
+def _fix_signs(w: np.ndarray, v: np.ndarray) -> None:
+    """Flip paired columns in place so each column of ``v`` has a nonnegative first nonzero.
+
+    An all-zero column of ``v`` has no first nonzero (argmax lands on a zero)
+    and is left as it is.
+    """
+    first = np.argmax(v != 0.0, axis=0)
+    flip = v[first, np.arange(v.shape[1])] < 0.0
+    v[:, flip] *= -1.0
+    w[:, flip] *= -1.0
 
 
 def pinv(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -7,7 +7,9 @@ Problems have the form
 
 with P symmetric positive semidefinite and w >= 0 elementwise.  The solver is
 a Mehrotra predictor-corrector primal-dual interior-point method on the dense
-KKT system; problem sizes here stay below a few hundred variables, where a
+KKT system.  Each iteration LU-factors its KKT matrix once, and the predictor,
+the corrector and their refinement steps all solve against that one
+factorization.  Problem sizes here stay below a few hundred variables, where a
 dense LU factorization per iteration is cheap and delivers the high-accuracy
 solutions needed to certify equivalence results to 1e-5 and tighter.
 
@@ -192,42 +194,58 @@ def _measure(P, q, A, b, lo, hi, jl, ju, x, y, zl, zu):
     return primal, dual, gap
 
 
-def _kkt_solve(P, diag_term, A, rhs_list):
-    """Solve the (regularized) reduced KKT system for one or more right-hand sides.
+_BUMPS = (1.0, 1e3, 1e6)  # regularization escalation levels, tried in order
+
+
+class _Kkt:
+    """The (regularized) reduced KKT matrix of one iterate, LU-factored at most once per level.
 
     Uses a static diagonal regularization scaled to each variable's own
     curvature plus iterative refinement against the unregularized matrix, so
     singular KKT systems (non-unique optimizers) still yield accurate steps.
+    A regularization level is factored the first time a right-hand side needs
+    it and the factorization is cached, so every solve against this matrix
+    (predictor, corrector, their refinement steps) shares one LU.
     """
-    n = P.shape[0]
-    me = A.shape[0]
-    dim = n + me
-    k0 = np.zeros((dim, dim))
-    k0[:n, :n] = P
-    k0[np.arange(n), np.arange(n)] += diag_term
-    if me:
-        k0[:n, n:] = A.T
-        k0[n:, :n] = A
-    for rhs in rhs_list:
+
+    def __init__(self, P, diag_term, A):
+        n = P.shape[0]
+        me = A.shape[0]
+        dim = n + me
+        k0 = np.zeros((dim, dim))
+        k0[:n, :n] = P
+        k0[np.arange(n), np.arange(n)] += diag_term
+        if me:
+            k0[:n, n:] = A.T
+            k0[n:, :n] = A
+        self.k0 = k0
+        self._shift = np.zeros(dim)
+        self._shift[:n] = 1e-12 * (1.0 + np.abs(np.diag(P)) + diag_term)
+        self._shift[n:] = -1e-12
+        self._lu = {}  # bump -> LU factors, or None when factorization failed
+
+    def _factor(self, bump):
+        if bump not in self._lu:
+            kr = self.k0.copy()
+            kr[np.diag_indices_from(kr)] += self._shift * bump
+            try:
+                self._lu[bump] = scipy.linalg.lu_factor(kr, check_finite=False)
+            except (scipy.linalg.LinAlgError, ValueError):
+                self._lu[bump] = None
+        return self._lu[bump]
+
+    def solve(self, rhs):
+        """Solve against the first regularization level that yields a finite step."""
         if not np.isfinite(rhs).all():
             raise np.linalg.LinAlgError("non-finite KKT right-hand side")
-    shift = np.zeros(dim)
-    shift[:n] = 1e-12 * (1.0 + np.abs(np.diag(P)) + diag_term)
-    shift[n:] = -1e-12
-    for bump in (1.0, 1e3, 1e6):
-        kr = k0.copy()
-        kr[np.arange(dim), np.arange(dim)] += shift * bump
-        try:
-            lu = scipy.linalg.lu_factor(kr, check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError):
-            continue
-        sols = []
-        ok = True
-        for rhs in rhs_list:
+        k0 = self.k0
+        for bump in _BUMPS:
+            lu = self._factor(bump)
+            if lu is None:
+                continue
             w = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
             if not np.isfinite(w).all():
-                ok = False
-                break
+                continue
             # refinement against the unregularized matrix, kept only if it helps
             res = rhs - k0 @ w
             best = float(np.linalg.norm(res, np.inf))
@@ -241,10 +259,8 @@ def _kkt_solve(P, diag_term, A, rhs_list):
                     w, res, best = w_try, res_try, nres
                 else:
                     break
-            sols.append(w)
-        if ok:
-            return sols
-    raise np.linalg.LinAlgError("KKT system could not be factorized")
+            return w
+        raise np.linalg.LinAlgError("KKT system could not be factorized")
 
 
 def _safe_div(num, den):
@@ -292,12 +308,13 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0=None, accept_tol=None):
 
     if nb == 0:
         # Equality-constrained QP: Newton is exact, polish a few times.
+        kkt = _Kkt(P, np.zeros(n), A)
         iters = 0
         for _ in range(3):
             iters += 1
             rd = P @ x + q + (A.T @ y if me else 0.0)
             rp = A @ x - b if me else np.zeros(0)
-            (w,) = _kkt_solve(P, np.zeros(n), A, [np.concatenate([-rd, -rp])])
+            w = kkt.solve(np.concatenate([-rd, -rp]))
             x = x + w[:n]
             y = y + w[n:]
             primal, dual, gap = _measure(P, q, A, b, lo, hi, jl, ju, x, y, zl, zu)
@@ -337,14 +354,16 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0=None, accept_tol=None):
         mu = (float(sl @ zl) + float(su @ zu)) / nb
 
         # cap the barrier ratios so pinned slacks cannot overflow the KKT
+        # (jl and ju are each free of duplicates, so indexed += is a scatter-add)
         diag = np.zeros(n)
-        np.add.at(diag, jl, np.minimum(zl / sl, 1e16))
-        np.add.at(diag, ju, np.minimum(zu / su, 1e16))
+        diag[jl] += np.minimum(zl / sl, 1e16)
+        diag[ju] += np.minimum(zu / su, 1e16)
+        kkt = _Kkt(P, diag, A)
 
         # predictor (affine scaling) direction
         rhs_aff = np.concatenate([-(P @ x + q + (A.T @ y if me else 0.0)), -rp])
         try:
-            (w_aff,) = _kkt_solve(P, diag, A, [rhs_aff])
+            w_aff = kkt.solve(rhs_aff)
         except np.linalg.LinAlgError:
             break
         dx_a = w_aff[:n]
@@ -361,11 +380,11 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0=None, accept_tol=None):
         # corrector
         r_l = sigma * mu - sl * zl - dx_a[jl] * dzl_a
         r_u = sigma * mu - su * zu - (-dx_a[ju]) * dzu_a
-        rhs_x = -rd.copy()
-        np.add.at(rhs_x, jl, _safe_div(r_l, sl))
-        np.subtract.at(rhs_x, ju, _safe_div(r_u, su))
+        rhs_x = -rd
+        rhs_x[jl] += _safe_div(r_l, sl)
+        rhs_x[ju] -= _safe_div(r_u, su)
         try:
-            (w,) = _kkt_solve(P, diag, A, [np.concatenate([rhs_x, -rp])])
+            w = kkt.solve(np.concatenate([rhs_x, -rp]))
         except np.linalg.LinAlgError:
             break
         dx = w[:n]

@@ -264,60 +264,65 @@ def solve_ground_truth(
 ) -> ControlSolution:
     """Receding-horizon optimal control with the plant model known.
 
-    Solves the QP over (x, u, y) with the dynamics and output equations as
-    equality constraints, the initial state pinned to ``x_ini``, and the
-    input/output boxes from the spec.
+    The model is condensed: the stacked outputs are affine in the stacked
+    inputs, ``y = Phi x_ini + Gamma u`` with ``Phi = col(C, CA, ..., CA^{N-1})``
+    and ``Gamma`` the block-lower-triangular Toeplitz matrix of the Markov
+    parameters ``D, CB, CAB, ...``.  Without output bounds the QP runs over u
+    alone with ``P = 2 (R_bar + Gamma' Q_bar Gamma)`` and the input box; with
+    ``spec.y_box`` an explicit y block, tied by ``y - Gamma u = Phi x_ini``,
+    carries the output box and the tracking cost.
     """
     n, m, p = plant.n, plant.m, plant.p
     if spec.m != m or spec.p != p:
         raise ValueError("spec weights do not match plant dimensions")
     x_ini = np.asarray(x_ini, dtype=float).reshape(n)
     horizon = spec.n_horizon
-    n_x = n * (horizon + 1)
     n_u = m * horizon
     n_y = p * horizon
-    n_z = n_x + n_u + n_y
-    off_u = n_x
-    off_y = n_x + n_u
 
-    p_mat = np.zeros((n_z, n_z))
-    p_mat[off_u:off_y, off_u:off_y] = 2.0 * spec.r_bar()
-    p_mat[off_y:, off_y:] = 2.0 * spec.q_bar()
-    q_vec = np.zeros(n_z)
+    # phi[k] = C A^k and markov[k] = D (k = 0) or C A^{k-1} B, built by one recursion
+    phi = np.empty((horizon, p, n))
+    markov = np.empty((horizon + 1, p, m))
+    markov[0] = plant.d
+    ca = plant.c
+    for k in range(horizon):
+        phi[k] = ca
+        markov[k + 1] = ca @ plant.b
+        ca = ca @ plant.a
+    lag = np.subtract.outer(np.arange(horizon), np.arange(horizon))
+    blocks = np.where((lag >= 0)[:, :, None, None], markov[np.maximum(lag, 0)], 0.0)
+    gamma = blocks.transpose(0, 2, 1, 3).reshape(n_y, n_u)
+    free = phi.reshape(n_y, n) @ x_ini  # the zero-input response
+
+    r_bar = spec.r_bar()
+    q_bar = spec.q_bar()
     y_ref = spec.y_ref_vec()
-    q_vec[off_y:] = -2.0 * (spec.q_bar() @ y_ref)
-
-    n_eq = n + n * horizon + p * horizon
-    a_eq = np.zeros((n_eq, n_z))
-    b_eq = np.zeros(n_eq)
-    a_eq[:n, :n] = np.eye(n)
-    b_eq[:n] = x_ini
-    row = n
-    for k in range(horizon):
-        # x_{k+1} - A x_k - B u_k = 0
-        a_eq[row:row + n, (k + 1) * n:(k + 2) * n] = np.eye(n)
-        a_eq[row:row + n, k * n:(k + 1) * n] = -plant.a
-        a_eq[row:row + n, off_u + k * m:off_u + (k + 1) * m] = -plant.b
-        row += n
-    for k in range(horizon):
-        # y_k - C x_k - D u_k = 0
-        a_eq[row:row + p, off_y + k * p:off_y + (k + 1) * p] = np.eye(p)
-        a_eq[row:row + p, k * n:(k + 1) * n] = -plant.c
-        a_eq[row:row + p, off_u + k * m:off_u + (k + 1) * m] = -plant.d
-        row += p
-
+    u_lo, u_hi = spec.u_bounds()
+    y_lo, y_hi = spec.y_bounds()
+    bound_y = any(v is not None and np.any(np.isfinite(v)) for v in (y_lo, y_hi))
+    n_z = n_u + (n_y if bound_y else 0)
     lo = np.full(n_z, -np.inf)
     hi = np.full(n_z, np.inf)
-    u_lo, u_hi = spec.u_bounds()
     if u_lo is not None:
-        lo[off_u:off_y] = qp._tile_bound(u_lo, n_u)
+        lo[:n_u] = qp._tile_bound(u_lo, n_u)
     if u_hi is not None:
-        hi[off_u:off_y] = qp._tile_bound(u_hi, n_u)
-    y_lo, y_hi = spec.y_bounds()
-    if y_lo is not None:
-        lo[off_y:] = qp._tile_bound(y_lo, n_y)
-    if y_hi is not None:
-        hi[off_y:] = qp._tile_bound(y_hi, n_y)
+        hi[:n_u] = qp._tile_bound(u_hi, n_u)
+    if bound_y:
+        p_mat = np.zeros((n_z, n_z))
+        p_mat[:n_u, :n_u] = 2.0 * r_bar
+        p_mat[n_u:, n_u:] = 2.0 * q_bar
+        q_vec = np.concatenate([np.zeros(n_u), -2.0 * (q_bar @ y_ref)])
+        a_eq = np.hstack([-gamma, np.eye(n_y)])
+        b_eq = free
+        if y_lo is not None:
+            lo[n_u:] = qp._tile_bound(y_lo, n_y)
+        if y_hi is not None:
+            hi[n_u:] = qp._tile_bound(y_hi, n_y)
+    else:
+        qg = q_bar @ gamma
+        p_mat = 2.0 * (r_bar + gamma.T @ qg)
+        q_vec = 2.0 * (qg.T @ (free - y_ref))
+        a_eq = b_eq = None
 
     prob = qp.QuadProgram(
         p_mat=p_mat, q_vec=q_vec, a_eq=a_eq, b_eq=b_eq, lower=lo, upper=hi
@@ -325,8 +330,8 @@ def solve_ground_truth(
     sol = qp.solve(prob, tol=tol, max_iter=max_iter, accept_tol=accept_tol)
     if sol.status is not qp.QpStatus.OPTIMAL:
         raise VariantError("ground-truth", sol)
-    u = sol.z[off_u:off_y]
-    y = sol.z[off_y:]
+    u = sol.z[:n_u]
+    y = sol.z[n_u:] if bound_y else free + gamma @ u
     obj = _variant_objective(spec, np.zeros(0), u, y, np.zeros(0))
     return ControlSolution(
         u=u,

@@ -65,6 +65,25 @@ class TestCompactSvd:
             first = dec1.v[np.flatnonzero(dec1.v[:, j])[0], j]
             assert first >= 0
 
+    def test_sign_flip_matches_column_loop(self):
+        # reference: the per-column loop the vectorized flip replaced
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((6, 5))
+        v[:2, 1] = 0.0  # first nonzero further down
+        v[:4, 2] = 0.0
+        v[4, 2] = -abs(v[4, 2])
+        v[:, 3] = 0.0  # all-zero column must not flip
+        w = rng.standard_normal((4, 5))
+        w_ref, v_ref = w.copy(), v.copy()
+        for j in range(v_ref.shape[1]):
+            nz = np.flatnonzero(v_ref[:, j])
+            if nz.size and v_ref[nz[0], j] < 0.0:
+                v_ref[:, j] *= -1.0
+                w_ref[:, j] *= -1.0
+        matlib._fix_signs(w, v)
+        np.testing.assert_array_equal(v, v_ref)
+        np.testing.assert_array_equal(w, w_ref)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             matlib.compact_svd([[1.0, np.nan]])

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from deepckit import qp
 
@@ -190,6 +191,48 @@ class TestInvariants:
         prob = qp.QuadProgram(p_mat=p_mat, q_vec=q_vec, l1_weights=w)
         sol = qp.solve(prob)
         np.testing.assert_allclose(sol.z, x, atol=1e-7)
+
+
+class TestFactorizationCount:
+    @pytest.fixture
+    def lu_calls(self, monkeypatch):
+        calls = []
+        original = scipy.linalg.lu_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        return calls
+
+    def test_one_lu_per_iteration(self, lu_calls):
+        # predictor, corrector and refinement all share one factorization
+        rng = np.random.default_rng(11)
+        box = random_box_qp(rng, 6)
+        prob = qp.QuadProgram(
+            p_mat=box.p_mat, q_vec=box.q_vec,
+            a_eq=rng.standard_normal((2, 6)), b_eq=0.1 * rng.standard_normal(2),
+            lower=box.lower, upper=box.upper,
+        )
+        sol = qp.solve(prob, tol=1e-9)
+        assert sol.status is qp.QpStatus.OPTIMAL
+        assert sol.iterations > 0
+        assert len(lu_calls) == sol.iterations
+
+    def test_equality_only_path_factors_once(self, lu_calls):
+        # the three polish solves of the equality-constrained path share one LU
+        rng = np.random.default_rng(12)
+        l_fac = rng.standard_normal((5, 5))
+        prob = qp.QuadProgram(
+            p_mat=l_fac @ l_fac.T + np.eye(5), q_vec=rng.standard_normal(5),
+            a_eq=rng.standard_normal((2, 5)), b_eq=rng.standard_normal(2),
+        )
+        # an unreachable tol forces all three polish solves
+        sol = qp.solve(prob, tol=1e-30, accept_tol=1e-9)
+        assert sol.status is qp.QpStatus.OPTIMAL
+        assert sol.iterations == 3
+        assert len(lu_calls) == 1
 
 
 class TestAssembleReduced:

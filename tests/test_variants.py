@@ -88,6 +88,73 @@ class TestGroundTruth:
         realized = va.realized_cost(small_plant, x0, sol.u, spec)
         assert sol.objective == pytest.approx(realized, abs=1e-8)
 
+    @pytest.mark.parametrize("bound_y", [True, False])
+    def test_condensed_matches_uncondensed_reference(self, bound_y):
+        plant = LinearPlant(
+            a=[[0.9, 0.3, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.1, 0.7]],
+            b=[[0.5, 0.0], [1.0, 0.2], [0.0, 0.8]],
+            c=[[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]],
+            d=[[0.3, 0.0], [0.1, -0.2]],
+        )
+        horizon = 6
+        y_box = (np.array([-0.4, -0.5]), np.array([0.5, 0.4]))
+        spec = va.ControlSpec(
+            t_ini=1, n_horizon=horizon, q_weight=np.diag([2.0, 3.0]),
+            r_weight=0.05 * np.eye(2), u_box=(np.full(2, -1.0), np.full(2, 1.0)),
+            y_box=y_box if bound_y else None, y_ref=np.tile([1.2, -1.5], horizon),
+        )
+        x0 = np.array([0.3, -0.2, 0.1])
+        u_want, y_want, obj_want = uncondensed_ground_truth(plant, x0, spec)
+        if bound_y:  # both sides of the output box bind at the reference optimum
+            assert np.min(y_want - np.tile(y_box[0], horizon)) <= 1e-6
+            assert np.min(np.tile(y_box[1], horizon) - y_want) <= 1e-6
+        sol = va.solve_ground_truth(plant, x0, spec, tol=1e-11, accept_tol=1e-9)
+        assert np.max(np.abs(sol.u - u_want)) <= 1e-7
+        assert np.max(np.abs(sol.y_pred - y_want)) <= 1e-7
+        assert abs(sol.objective - obj_want) <= 1e-7 * max(1.0, abs(obj_want))
+
+
+def uncondensed_ground_truth(plant, x_ini, spec):
+    """Reference model-based QP over (x, u, y) with the dynamics as equalities."""
+    n, m, p = plant.n, plant.m, plant.p
+    horizon = spec.n_horizon
+    n_x, n_u, n_y = n * (horizon + 1), m * horizon, p * horizon
+    off_u, off_y = n_x, n_x + n_u
+    n_z = off_y + n_y
+    p_mat = np.zeros((n_z, n_z))
+    p_mat[off_u:off_y, off_u:off_y] = 2.0 * spec.r_bar()
+    p_mat[off_y:, off_y:] = 2.0 * spec.q_bar()
+    q_vec = np.zeros(n_z)
+    q_vec[off_y:] = -2.0 * (spec.q_bar() @ spec.y_ref_vec())
+    a_eq = np.zeros((n + n * horizon + p * horizon, n_z))
+    b_eq = np.zeros(a_eq.shape[0])
+    a_eq[:n, :n] = np.eye(n)
+    b_eq[:n] = x_ini
+    row = n
+    for k in range(horizon):  # x_{k+1} - A x_k - B u_k = 0
+        a_eq[row:row + n, (k + 1) * n:(k + 2) * n] = np.eye(n)
+        a_eq[row:row + n, k * n:(k + 1) * n] = -plant.a
+        a_eq[row:row + n, off_u + k * m:off_u + (k + 1) * m] = -plant.b
+        row += n
+    for k in range(horizon):  # y_k - C x_k - D u_k = 0
+        a_eq[row:row + p, off_y + k * p:off_y + (k + 1) * p] = np.eye(p)
+        a_eq[row:row + p, k * n:(k + 1) * n] = -plant.c
+        a_eq[row:row + p, off_u + k * m:off_u + (k + 1) * m] = -plant.d
+        row += p
+    lo = np.full(n_z, -np.inf)
+    hi = np.full(n_z, np.inf)
+    lo[off_u:off_y] = np.tile(spec.u_box[0], horizon)
+    hi[off_u:off_y] = np.tile(spec.u_box[1], horizon)
+    if spec.y_box is not None:
+        lo[off_y:] = np.tile(spec.y_box[0], horizon)
+        hi[off_y:] = np.tile(spec.y_box[1], horizon)
+    prob = qp.QuadProgram(p_mat=p_mat, q_vec=q_vec, a_eq=a_eq, b_eq=b_eq, lower=lo, upper=hi)
+    sol = qp.solve(prob, tol=1e-11, accept_tol=1e-9)
+    assert sol.status is qp.QpStatus.OPTIMAL
+    u, y = sol.z[off_u:off_y], sol.z[off_y:]
+    dy = y - spec.y_ref_vec()
+    return u, y, float(u @ spec.r_bar() @ u + dy @ spec.q_bar() @ dy)
+
 
 class TestBasicDeePC:
     def test_library_column_is_feasible(self, small_plant, small_instances):
