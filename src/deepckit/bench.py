@@ -20,28 +20,28 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import qp
 from . import variants as va
 from .hankel import partition
 from .matlib import numeric_rank
 from .plants import (
-    LinearPlant,
     NoiseSpec,
     NonlinearPlant,
+    PlantDiverged,
     collect_trajectory,
-    lv_linearized_plant,
-    lv_step,
+    rollout,
     seeded_generator,
     standard_normal,
-    step_linear,
     triple_mass_spring,
 )
 
@@ -60,7 +60,7 @@ __all__ = [
 _ONLINE_SALT = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
-VARIANT_CHOICES = ("basic", "hybrid", "svd", "ddspc", "svd-iter", "spc")
+VARIANT_CHOICES = tuple(va.VARIANTS)
 DEFAULT_VARIANTS = ("hybrid", "svd", "ddspc", "svd-iter")
 _FAIL_SENTINEL = float("nan")
 
@@ -181,67 +181,55 @@ def make_instance(
     lib = partition(traj, t_ini, n_horizon)
 
     rng = seeded_generator((seed ^ _ONLINE_SALT) & _MASK64)
-    # excite the measured coordinates only: disc angles for the mass-spring
-    # chain, both error states for the interpolated predator-prey plant
-    if isinstance(plant, NonlinearPlant):
-        x = x0_scale * standard_normal(rng, 2)
-    else:
-        x = x0_scale * (plant.c.T @ standard_normal(rng, p))
+    # excite the measured coordinates only (C' z): disc angles for the
+    # mass-spring chain, both error states for the predator-prey plant
+    x = x0_scale * (plant.linear_model().c.T @ standard_normal(rng, p))
     u_ini = u_lo + (u_hi - u_lo) * rng.random((t_ini, m))
     w_ini = (
         np.sqrt(noise_var) * standard_normal(rng, (t_ini, p))
         if noise_var > 0.0
         else np.zeros((t_ini, p))
     )
-    y_ini = np.empty((t_ini, p))
-    if isinstance(plant, NonlinearPlant):
-        for k in range(t_ini):
-            y_ini[k] = x + w_ini[k]
-            x = lv_step(plant, x, u_ini[k, 0])
-    else:
-        for k in range(t_ini):
-            x_next, y = step_linear(plant, x, u_ini[k])
-            y_ini[k] = y + w_ini[k]
-            x = x_next
-    online = va.OnlineData(u_ini=u_ini.ravel(), y_ini=y_ini.ravel())
+    y_ini, x = rollout(plant, x, u_ini)
+    online = va.OnlineData(u_ini=u_ini.ravel(), y_ini=(y_ini + w_ini).ravel())
     return lib, online, x
 
 
-def _gt_plant(cfg: ExperimentConfig, plant):
-    """Model used by the ground-truth controller (linearization for eps < 1)."""
-    if isinstance(plant, NonlinearPlant):
-        return lv_linearized_plant(plant)
-    return plant
+def _instance(cfg: ExperimentConfig, plant, trial: int, noise_var: float | None = None):
+    """:func:`make_instance` for trial ``trial`` of ``cfg`` (seed ``cfg.seed + trial``)."""
+    return make_instance(
+        plant,
+        T=cfg.T, t_ini=cfg.t_ini, n_horizon=cfg.n_horizon,
+        noise_var=cfg.noise_var if noise_var is None else noise_var,
+        u_lo=cfg.u_min, u_hi=cfg.u_max,
+        seed=cfg.seed + trial, x0_scale=cfg.x0_scale,
+        excitation_scale=cfg.excitation_scale,
+    )
 
 
-def _solve_variant(name, lib, online, spec, cfg, caches, **solve_opts):
-    """Dispatch one variant, reusing preprocessed libraries per instance."""
-    if name == "basic":
-        return va.solve_basic_deepc(lib, online, spec, **solve_opts)
-    if name == "hybrid":
-        return va.solve_hybrid(lib, online, spec, **solve_opts)
-    if name == "svd":
-        if "svd" not in caches:
-            caches["svd"] = va.preprocess_svd(lib)
-        return va.solve_svd(caches["svd"], online, spec, **solve_opts)
-    if name == "ddspc":
-        if "spc" not in caches:
-            caches["spc"] = va.build_spc_library(lib)
-        return va.solve_dd_spc(caches["spc"], online, spec, **solve_opts)
-    if name == "spc":
-        return va.solve_classical_spc(lib, online, spec, **solve_opts)
-    if name == "svd-iter":
-        if "slra" not in caches:
-            order = cfg.slra_order
-            if order is None:
-                order = 8 if cfg.plant == "triple-mass-spring" else 2
+def _solve_variant(name, plant, instance, spec, cfg, caches, **solve_opts):
+    """Solve one controller on one instance ``(lib, online, x_true)``.
+
+    ``"ground-truth"`` solves the plant's linear model from the true state.  A
+    variant is looked up in :data:`deepckit.variants.VARIANTS`; its library is
+    pre-processed at most once per ``caches`` dict (one per instance and
+    regime).  Both functions are resolved as module attributes at call time,
+    so a wrapped attribute is the one that runs.
+    """
+    lib, online, x_true = instance
+    if name == "ground-truth":
+        return va.solve_ground_truth(plant.linear_model(), x_true, spec, **solve_opts)
+    variant = va.VARIANTS[name]
+    key = variant.preprocess
+    if key is not None and key not in caches:
+        if variant.provenance == "slra-svd":  # the denoiser's order defaults to the plant's
+            order = plant.n if cfg.slra_order is None else cfg.slra_order
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                caches["slra"] = va.preprocess_svd_iter(
-                    lib, order, eps=cfg.slra_eps
-                )
-        return va.solve_svd_iter(caches["slra"], online, spec, **solve_opts)
-    raise ValueError(f"unknown variant '{name}'")
+                caches[key] = getattr(va, key)(lib, order, eps=cfg.slra_eps)
+        else:
+            caches[key] = getattr(va, key)(lib)
+    return getattr(va, variant.solver)(caches.get(key, lib), online, spec, **solve_opts)
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, command: str, header, rows):
@@ -282,9 +270,7 @@ def _deviation(sol_a, sol_b, with_sigma: bool) -> tuple[float, float, float]:
 
 def _instance_scale(lib, online, spec) -> float:
     """Spectral norm of the assembled quadratic term, for scaling lambda2."""
-    from . import qp as qp_mod
-
-    red = qp_mod.assemble_reduced(
+    red = qp.assemble_reduced(
         lib.up, lib.yp, lib.uf, lib.yf,
         online.u_ini, online.y_ini,
         spec.r_bar(), spec.q_bar(), spec.y_ref_vec(),
@@ -303,132 +289,71 @@ def cmd_equivalence(cfg: ExperimentConfig) -> tuple[Path, bool]:
     projected-library variant against the least-squares subspace predictor.
     """
     plant = _make_plant(cfg)
+    base = _make_spec(cfg, plant)
     out_dir = Path(cfg.out_dir)
     cfg.echo(out_dir)
     rows = []
-    all_ok = True
 
-    def record(regime, pair, du, dy, ds, tolerance):
-        nonlocal all_ok
-        ok = max(du, dy, ds) <= tolerance
-        all_ok = all_ok and ok
-        rows.append((regime, pair, du, dy, ds, tolerance, int(ok)))
-
-    # regime 1: noise-free, lambda1 = lambda2 = 0, slack suppressed
-    spec_f1 = _make_spec(cfg, plant)
-    spec_f1.lambda1 = 0.0
-    spec_f1.lambda2 = 0.0
-    spec_f1.lambda_y = 1e14  # slack suppression; keeps the modeling gap << 1e-6
-    tol_f1 = EQUIVALENCE_TOLERANCES["fact1"]
-    cert = dict(tol=1e-11, max_iter=200, accept_tol=1e-9)
-    n_fact1 = min(cfg.trials, 3)
-    for trial in range(n_fact1):
-        lib, online, x_true = make_instance(
-            plant,
-            T=cfg.T, t_ini=cfg.t_ini, n_horizon=cfg.n_horizon,
-            noise_var=0.0,
-            u_lo=cfg.u_min, u_hi=cfg.u_max,
-            seed=cfg.seed + trial, x0_scale=cfg.x0_scale,
-            excitation_scale=cfg.excitation_scale,
-        )
+    def certify(kind, trial, instance, named_specs, with_sigma, **opts):
+        """Solve one regime on one instance; record the failure or every pairwise deviation."""
+        regime, tolerance = f"{kind}[{trial}]", EQUIVALENCE_TOLERANCES[kind]
         caches: dict = {}
         try:
             sols = {
-                "ground-truth": va.solve_ground_truth(
-                    _gt_plant(cfg, plant), x_true, spec_f1, **cert
-                )
+                name: _solve_variant(name, plant, instance, spec, cfg, caches, **opts)
+                for name, spec in named_specs
             }
-            for name in ("basic", "hybrid", "svd", "ddspc", "svd-iter"):
-                sols[name] = _solve_variant(name, lib, online, spec_f1, cfg, caches, **cert)
         except va.VariantError as err:
-            record(f"fact1[{trial}]", f"{err.variant} failed", np.inf, np.inf, np.inf, tol_f1)
-            continue
-        names = list(sols)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                du, dy, ds = _deviation(sols[a], sols[b], with_sigma=False)
-                record(f"fact1[{trial}]", f"{a}|{b}", du, dy, ds, tol_f1)
+            rows.append((regime, f"{err.variant} failed", *[np.inf] * 3, tolerance, 0))
+            return
+        for a, b in itertools.combinations(sols, 2):
+            devs = _deviation(sols[a], sols[b], with_sigma)
+            rows.append((regime, f"{a}|{b}", *devs, tolerance, int(max(devs) <= tolerance)))
+
+    # regime 1: noise-free, lambda1 = lambda2 = 0, slack suppressed (the 1e14
+    # weight keeps the modeling gap << 1e-6)
+    spec_f1 = replace(base, lambda1=0.0, lambda2=0.0, lambda_y=1e14)
+    fact1 = ("ground-truth", "basic", "hybrid", "svd", "ddspc", "svd-iter")
+    for trial in range(min(cfg.trials, 3)):
+        certify(
+            "fact1", trial, _instance(cfg, plant, trial, noise_var=0.0),
+            [(name, spec_f1) for name in fact1], False,
+            tol=1e-11, max_iter=200, accept_tol=1e-9,
+        )
 
     # noisy instances shared by the remaining regimes
-    noisy = [
-        make_instance(
-            plant,
-            T=cfg.T, t_ini=cfg.t_ini, n_horizon=cfg.n_horizon,
-            noise_var=cfg.noise_var,
-            u_lo=cfg.u_min, u_hi=cfg.u_max,
-            seed=cfg.seed + trial, x0_scale=cfg.x0_scale,
-            excitation_scale=cfg.excitation_scale,
-        )
-        for trial in range(cfg.trials)
-    ]
+    noisy = [_instance(cfg, plant, trial) for trial in range(cfg.trials)]
+    spec_plain = replace(base, lambda1=0.0, lambda2=0.0, lambda_y=100.0)
 
     # regime 2: lambda1 = 0, any lambda2 > 0 -- hybrid vs svd
-    spec_t2 = _make_spec(cfg, plant)
-    spec_t2.lambda1 = 0.0
-    spec_t2.lambda2 = 30.0
-    spec_t2.lambda_y = 100.0
-    tol_t2 = EQUIVALENCE_TOLERANCES["theorem2"]
-    for trial, (lib, online, _) in enumerate(noisy):
-        caches = {}
-        opts2 = dict(tol=1e-10, max_iter=200, accept_tol=1e-8)
-        try:
-            sol_h = va.solve_hybrid(lib, online, spec_t2, **opts2)
-            sol_s = _solve_variant("svd", lib, online, spec_t2, cfg, caches, **opts2)
-        except va.VariantError as err:
-            record(f"theorem2[{trial}]", f"{err.variant} failed", np.inf, np.inf, np.inf, tol_t2)
-            continue
-        du, dy, ds = _deviation(sol_h, sol_s, with_sigma=True)
-        record(f"theorem2[{trial}]", "hybrid|svd", du, dy, ds, tol_t2)
+    spec_t2 = replace(spec_plain, lambda2=30.0)
+    for trial, instance in enumerate(noisy):
+        certify(
+            "theorem2", trial, instance, [("hybrid", spec_t2), ("svd", spec_t2)], True,
+            tol=1e-10, max_iter=200, accept_tol=1e-8,
+        )
 
     # regime 3: large lambda2 adds the projected-library variant
-    tol_t3 = EQUIVALENCE_TOLERANCES["theorem3"]
-    for trial, (lib, online, _) in enumerate(noisy):
-        spec_t3 = _make_spec(cfg, plant)
-        spec_t3.lambda1 = 0.0
-        spec_t3.lambda_y = 100.0
-        spec_t3.lambda2 = 1e4 * _instance_scale(lib, online, spec_t3)
-        spec_dd = _make_spec(cfg, plant)
-        spec_dd.lambda1 = 0.0
-        spec_dd.lambda2 = 0.0
-        spec_dd.lambda_y = 100.0
-        caches = {}
-        opts3 = dict(tol=1e-11, max_iter=200, accept_tol=1e-7)
-        try:
-            sols3 = {
-                "hybrid": va.solve_hybrid(lib, online, spec_t3, **opts3),
-                "svd": _solve_variant("svd", lib, online, spec_t3, cfg, caches, **opts3),
-                "ddspc": _solve_variant("ddspc", lib, online, spec_dd, cfg, caches, **opts3),
-            }
-        except va.VariantError as err:
-            record(f"theorem3[{trial}]", f"{err.variant} failed", np.inf, np.inf, np.inf, tol_t3)
-            continue
-        names3 = list(sols3)
-        for i, a in enumerate(names3):
-            for b in names3[i + 1:]:
-                du, dy, ds = _deviation(sols3[a], sols3[b], with_sigma=True)
-                record(f"theorem3[{trial}]", f"{a}|{b}", du, dy, ds, tol_t3)
+    for trial, instance in enumerate(noisy):
+        scale = _instance_scale(instance[0], instance[1], spec_plain)
+        spec_t3 = replace(spec_plain, lambda2=1e4 * scale)
+        certify(
+            "theorem3", trial, instance,
+            [("hybrid", spec_t3), ("svd", spec_t3), ("ddspc", spec_plain)], True,
+            tol=1e-11, max_iter=200, accept_tol=1e-7,
+        )
 
     # regime 4: projected library vs least-squares subspace predictor
-    spec_t1 = _make_spec(cfg, plant)
-    spec_t1.lambda1 = 0.0
-    spec_t1.lambda2 = 0.0
-    spec_t1.lambda_y = 100.0
-    tol_t1 = EQUIVALENCE_TOLERANCES["theorem1"]
-    for trial, (lib, online, _) in enumerate(noisy):
-        h1 = va.stack_past_inputs(lib)
+    for trial, instance in enumerate(noisy):
+        h1 = va.stack_past_inputs(instance[0])
         if numeric_rank(h1) < h1.shape[0]:
-            record(f"theorem1[{trial}]", "H1 rank-deficient", np.inf, np.inf, np.inf, tol_t1)
+            tolerance = EQUIVALENCE_TOLERANCES["theorem1"]
+            rows.append((f"theorem1[{trial}]", "H1 rank-deficient", *[np.inf] * 3, tolerance, 0))
             continue
-        caches = {}
-        opts1 = dict(tol=1e-11, max_iter=200, accept_tol=1e-9)
-        try:
-            sol_d = _solve_variant("ddspc", lib, online, spec_t1, cfg, caches, **opts1)
-            sol_c = va.solve_classical_spc(lib, online, spec_t1, **opts1)
-        except va.VariantError as err:
-            record(f"theorem1[{trial}]", f"{err.variant} failed", np.inf, np.inf, np.inf, tol_t1)
-            continue
-        du, dy, ds = _deviation(sol_d, sol_c, with_sigma=True)
-        record(f"theorem1[{trial}]", "ddspc|spc", du, dy, ds, tol_t1)
+        certify(
+            "theorem1", trial, instance, [("ddspc", spec_plain), ("spc", spec_plain)], True,
+            tol=1e-11, max_iter=200, accept_tol=1e-9,
+        )
 
     path = out_dir / "equivalence.csv"
     _write_csv(
@@ -436,7 +361,7 @@ def cmd_equivalence(cfg: ExperimentConfig) -> tuple[Path, bool]:
         ["regime", "pair", "max_du", "max_dy", "max_dsigma", "tolerance", "pass"],
         rows,
     )
-    return path, all_ok
+    return path, all(row[-1] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -445,29 +370,19 @@ def cmd_equivalence(cfg: ExperimentConfig) -> tuple[Path, bool]:
 
 def _run_trials(cfg: ExperimentConfig, plant, spec, variant_names):
     """Per-trial realized costs and solve times for each variant plus ground truth."""
-    gt_model = _gt_plant(cfg, plant)
     costs = {name: [] for name in ("ground-truth", *variant_names)}
     times = {name: [] for name in costs}
     failures = {name: 0 for name in costs}
     first_traj: dict = {}
     for trial in range(cfg.trials):
-        lib, online, x_true = make_instance(
-            plant,
-            T=cfg.T, t_ini=cfg.t_ini, n_horizon=cfg.n_horizon,
-            noise_var=cfg.noise_var,
-            u_lo=cfg.u_min, u_hi=cfg.u_max,
-            seed=cfg.seed + trial, x0_scale=cfg.x0_scale,
-            excitation_scale=cfg.excitation_scale,
-        )
+        instance = _instance(cfg, plant, trial)
+        x_true = instance[2]
         caches: dict = {}
         opts = dict(tol=1e-9, max_iter=150, accept_tol=1e-6)
         for name in costs:
             t0 = time.perf_counter()
             try:
-                if name == "ground-truth":
-                    sol = va.solve_ground_truth(gt_model, x_true, spec, **opts)
-                else:
-                    sol = _solve_variant(name, lib, online, spec, cfg, caches, **opts)
+                sol = _solve_variant(name, plant, instance, spec, cfg, caches, **opts)
             except va.VariantError:
                 failures[name] += 1
                 costs[name].append(_FAIL_SENTINEL)
@@ -476,29 +391,15 @@ def _run_trials(cfg: ExperimentConfig, plant, spec, variant_names):
             times[name].append(time.perf_counter() - t0)
             try:
                 cost = va.realized_cost(plant, x_true, sol.u, spec)
-            except ValueError:  # true plant diverged under the planned inputs
+            except PlantDiverged:  # the true plant diverged under the planned inputs
                 failures[name] += 1
                 cost = _FAIL_SENTINEL
             costs[name].append(cost)
             if trial == 0 and np.isfinite(cost):
-                first_traj[name] = _realized_outputs(plant, x_true, sol.u, spec)
+                # true outputs under the applied inputs, for the trajectory plot
+                u_seq = sol.u.reshape(spec.n_horizon, spec.m)
+                first_traj[name] = rollout(plant, x_true, u_seq)[0]
     return costs, times, failures, first_traj
-
-
-def _realized_outputs(plant, x_true, u_applied, spec) -> np.ndarray:
-    """True output sequence under the applied inputs (for trajectory plots)."""
-    u_seq = np.asarray(u_applied, dtype=float).reshape(spec.n_horizon, spec.m)
-    y_seq = np.empty((spec.n_horizon, spec.p))
-    if isinstance(plant, NonlinearPlant):
-        x = np.asarray(x_true, dtype=float).reshape(2)
-        for k in range(spec.n_horizon):
-            y_seq[k] = x
-            x = lv_step(plant, x, u_seq[k, 0])
-    else:
-        x = np.asarray(x_true, dtype=float).reshape(plant.n)
-        for k in range(spec.n_horizon):
-            x, y_seq[k] = step_linear(plant, x, u_seq[k])
-    return y_seq
 
 
 def _aggregate(costs, times, failures, trials) -> list[BenchRow]:
@@ -584,30 +485,21 @@ def cmd_sweep(cfg: ExperimentConfig, lambda1_grid, lambda2_grid) -> Path:
     plant = _make_plant(cfg)
     out_dir = Path(cfg.out_dir)
     cfg.echo(out_dir)
-    lib, online, x_true = make_instance(
-        plant,
-        T=cfg.T, t_ini=cfg.t_ini, n_horizon=cfg.n_horizon,
-        noise_var=cfg.noise_var,
-        u_lo=cfg.u_min, u_hi=cfg.u_max,
-        seed=cfg.seed, x0_scale=cfg.x0_scale,
-        excitation_scale=cfg.excitation_scale,
-    )
+    instance = _instance(cfg, plant, 0)
+    base = _make_spec(cfg, plant)
     caches: dict = {}
     rows = []
     for name in cfg.variants:
         for lam1 in lambda1_grid:
             for lam2 in lambda2_grid:
-                spec = _make_spec(cfg, plant)
-                spec.lambda1 = lam1
-                spec.lambda2 = lam2
-                spec.lambda_y = 100.0
+                spec = replace(base, lambda1=lam1, lambda2=lam2, lambda_y=100.0)
                 try:
                     sol = _solve_variant(
-                        name, lib, online, spec, cfg, caches,
+                        name, plant, instance, spec, cfg, caches,
                         tol=1e-9, max_iter=150, accept_tol=1e-6,
                     )
-                    cost = va.realized_cost(plant, x_true, sol.u, spec)
-                except (va.VariantError, ValueError):
+                    cost = va.realized_cost(plant, instance[2], sol.u, spec)
+                except (va.VariantError, PlantDiverged):
                     cost = _FAIL_SENTINEL
                 rows.append((name, lam1, lam2, cost))
     path = out_dir / "sweep.csv"

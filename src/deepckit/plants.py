@@ -21,6 +21,7 @@ __all__ = [
     "LinearPlant",
     "NonlinearPlant",
     "NoiseSpec",
+    "PlantDiverged",
     "seeded_generator",
     "standard_normal",
     "step_linear",
@@ -28,6 +29,7 @@ __all__ = [
     "triple_mass_spring",
     "lv_step",
     "lv_linearized_plant",
+    "rollout",
     "collect_trajectory",
     "save_plant_csv",
 ]
@@ -51,6 +53,10 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
                         radius * np.sin(2.0 * np.pi * u2)])[:n]
     return z.reshape(shape)
+
+
+class PlantDiverged(ValueError):
+    """A rollout left the finite range: the plant state became NaN or Inf."""
 
 
 def _matrix(a, name: str) -> np.ndarray:
@@ -96,6 +102,16 @@ class LinearPlant:
     def p(self) -> int:
         return self.c.shape[0]
 
+    def step(self, x, u):
+        """One step of the plant: returns (x_next, y)."""
+        x = np.asarray(x, dtype=float).reshape(self.n)
+        u = np.asarray(u, dtype=float).reshape(self.m)
+        return self.a @ x + self.b @ u, self.c @ x + self.d @ u
+
+    def linear_model(self) -> LinearPlant:
+        """The LTI model a model-based controller uses: the plant itself."""
+        return self
+
 
 @dataclass(frozen=True)
 class NonlinearPlant:
@@ -136,6 +152,15 @@ class NonlinearPlant:
     def p(self) -> int:
         return 2
 
+    def step(self, x, u):
+        """One forward-Euler step: returns (x_next, y), y being the state before the step."""
+        x = np.asarray(x, dtype=float).reshape(2)
+        return lv_step(self, x, u), x
+
+    def linear_model(self) -> LinearPlant:
+        """The eps=1 linearization: exact at eps=1, a fixed-linearization baseline below."""
+        return lv_linearized_plant(self)
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -151,11 +176,20 @@ class NoiseSpec:
 
 def step_linear(plant: LinearPlant, x, u):
     """One step of the plant: returns (x_next, y)."""
-    x = np.asarray(x, dtype=float).reshape(plant.n)
-    u = np.asarray(u, dtype=float).reshape(plant.m)
-    x_next = plant.a @ x + plant.b @ u
-    y = plant.c @ x + plant.d @ u
-    return x_next, y
+    return plant.step(x, u)
+
+
+def rollout(plant, x0, u_seq):
+    """Drive either plant from ``x0`` under the K x m inputs ``u_seq``.
+
+    Returns ``(y_seq, x_final)``: the K x p noise-free outputs, y(k) measured
+    as input k is applied, and the state after the last step.
+    """
+    x = x0
+    y_seq = np.empty((len(u_seq), plant.p))
+    for k, u in enumerate(u_seq):
+        x, y_seq[k] = plant.step(x, u)
+    return y_seq, x
 
 
 def simulate_linear(plant: LinearPlant, x0, u_seq) -> np.ndarray:
@@ -163,11 +197,7 @@ def simulate_linear(plant: LinearPlant, x0, u_seq) -> np.ndarray:
     u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
     if u_seq.shape[1] != plant.m:
         raise ValueError(f"u_seq must have {plant.m} columns, got {u_seq.shape[1]}")
-    x = np.asarray(x0, dtype=float).reshape(plant.n)
-    y_seq = np.empty((u_seq.shape[0], plant.p))
-    for k in range(u_seq.shape[0]):
-        x, y_seq[k] = step_linear(plant, x, u_seq[k])
-    return y_seq
+    return rollout(plant, x0, u_seq)[0]
 
 
 def triple_mass_spring() -> LinearPlant:
@@ -246,7 +276,7 @@ def lv_step(plant: NonlinearPlant, x_hat, u_hat: float) -> np.ndarray:
         _lv_nonlinear(plant, x_hat, u_hat)
     )
     if not np.isfinite(x_next).all():
-        raise ValueError("state diverged to non-finite values")
+        raise PlantDiverged("state diverged to non-finite values")
     return x_next
 
 
@@ -284,16 +314,7 @@ def collect_trajectory(plant, length: int, excitation, noise: NoiseSpec) -> Traj
         if noise.variance > 0.0
         else np.zeros((length, p))
     )
-    y_seq = np.empty((length, p))
-    if isinstance(plant, LinearPlant):
-        x = np.zeros(plant.n)
-        for k in range(length):
-            x, y_seq[k] = step_linear(plant, x, u_seq[k])
-    else:
-        x = np.zeros(2)
-        for k in range(length):
-            y_seq[k] = x
-            x = lv_step(plant, x, u_seq[k, 0])
+    y_seq, _ = rollout(plant, np.zeros(plant.n), u_seq)
     return Trajectory(u_d=u_seq, y_d=y_seq + w_seq)
 
 

@@ -4,7 +4,8 @@ and realized-cost evaluation.
 
 All data-driven variants share one reduced QP template over the library
 coefficients g (see :func:`deepckit.qp.assemble_reduced`); they differ only in
-the library blocks they consume and the regularizers they activate:
+the library blocks they consume and the regularizers they activate, the two
+choices each :class:`Variant` record in :data:`VARIANTS` holds:
 
 =============  =================  ====================================
 variant        library blocks     regularizers
@@ -29,12 +30,14 @@ import numpy as np
 
 from . import qp
 from .hankel import HankelPartition
-from .matlib import numeric_rank, pinv, project_rows, rowspace_projector, compact_svd
-from .plants import LinearPlant, NonlinearPlant, lv_step, step_linear
+from .matlib import compact_svd, pinv, project_rows, rowspace_projector
+from .plants import LinearPlant, rollout
 from .slra import SlraReport, iterative_slra
 
 __all__ = [
     "ControlSpec",
+    "Variant",
+    "VARIANTS",
     "OnlineData",
     "ControlSolution",
     "PreprocessedLibrary",
@@ -56,14 +59,15 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlSpec:
     """Horizons, stage weights, regularizer strengths, constraint boxes, reference.
 
     ``q_weight`` (p x p, PSD) and ``r_weight`` (m x m, PD) are per-stage costs;
     ``u_box``/``y_box`` are per-channel (lo, hi) pairs, ``y_box=None`` meaning
     unconstrained outputs; ``y_ref`` is the stacked (p*n_horizon) reference and
-    defaults to regulation at zero.
+    defaults to regulation at zero.  Specs are immutable: derive variations
+    with :func:`dataclasses.replace`, which validates them again.
     """
 
     t_ini: int
@@ -80,12 +84,12 @@ class ControlSpec:
     def __post_init__(self):
         if self.t_ini < 1 or self.n_horizon < 1:
             raise ValueError("t_ini and n_horizon must be positive")
-        self.q_weight = np.atleast_2d(np.asarray(self.q_weight, dtype=float))
-        self.r_weight = np.atleast_2d(np.asarray(self.r_weight, dtype=float))
+        object.__setattr__(self, "q_weight", np.atleast_2d(np.asarray(self.q_weight, dtype=float)))
+        object.__setattr__(self, "r_weight", np.atleast_2d(np.asarray(self.r_weight, dtype=float)))
         if min(self.lambda1, self.lambda2, self.lambda_y) < 0.0:
             raise ValueError("regularizer weights must be nonnegative")
         if self.y_ref is not None:
-            self.y_ref = np.asarray(self.y_ref, dtype=float).ravel()
+            object.__setattr__(self, "y_ref", np.asarray(self.y_ref, dtype=float).ravel())
             if self.y_ref.size != self.p * self.n_horizon:
                 raise ValueError("y_ref must have p * n_horizon entries")
 
@@ -178,6 +182,38 @@ class VariantError(RuntimeError):
         return self.solution.status
 
 
+@dataclass(frozen=True)
+class Variant:
+    """One data-driven controller as a choice of library and relaxations.
+
+    ``provenance`` is the pre-processed library the solver requires (``None``:
+    the raw library); ``l1``, ``ridge`` and ``slack`` say whether
+    ``lambda1 ||g||_1``, ``lambda2 ||(I - Pi1) g||^2`` and
+    ``lambda_y ||sigma_y||^2`` are active.  ``solver`` and ``preprocess`` name
+    this module's public functions; callers look them up as attributes at call
+    time, so a wrapped module attribute is what runs.
+    """
+
+    name: str
+    solver: str
+    preprocess: str | None
+    provenance: str | None
+    l1: bool
+    ridge: bool
+    slack: bool
+
+
+VARIANTS = {v.name: v for v in (
+    # name, solver, pre-processing, required provenance, l1, ridge, slack
+    Variant("basic", "solve_basic_deepc", None, None, False, False, False),
+    Variant("hybrid", "solve_hybrid", None, None, True, True, True),
+    Variant("svd", "solve_svd", "preprocess_svd", "svd", True, True, True),
+    Variant("ddspc", "solve_dd_spc", "build_spc_library", "spc-projected", True, False, True),
+    Variant("svd-iter", "solve_svd_iter", "preprocess_svd_iter", "slra-svd", False, True, True),
+    Variant("spc", "solve_classical_spc", None, None, False, False, True),
+)}
+
+
 def stack_library(lib) -> np.ndarray:
     """col(U_P, Y_P, U_F, Y_F) of a (possibly preprocessed) library."""
     return np.vstack([lib.up, lib.yp, lib.uf, lib.yf])
@@ -188,7 +224,14 @@ def stack_past_inputs(lib) -> np.ndarray:
     return np.vstack([lib.up, lib.yp, lib.uf])
 
 
-def _check_online(lib, online: OnlineData) -> None:
+def _check_inputs(variant: Variant, lib, online: OnlineData, spec: ControlSpec) -> None:
+    """Library provenance, slack weight and online window lengths of one solve."""
+    got = getattr(lib, "provenance", None) or "raw"  # a HankelPartition is raw
+    want = variant.provenance or "raw"
+    if got != want:
+        raise ValueError(f"expected an '{want}' library, got '{got}'")
+    if variant.slack and spec.lambda_y <= 0.0:
+        raise ValueError(f"{variant.name} variant requires lambda_y > 0")
     if online.u_ini.size != lib.m * lib.t_ini or online.y_ini.size != lib.p * lib.t_ini:
         raise ValueError("online data lengths do not match the library windows")
 
@@ -206,21 +249,15 @@ def _variant_objective(spec, g, u, y, sigma, *, lambda1=0.0, lambda2=0.0, g2=Non
     return val
 
 
-def _solve_reduced(
-    name,
-    lib,
-    online,
-    spec,
-    *,
-    lambda1,
-    lambda2,
-    g2,
-    with_sigma,
-    tol,
-    max_iter,
-    accept_tol,
-):
-    _check_online(lib, online)
+def _solve_reduced(variant: Variant, lib, online, spec, tol, max_iter, accept_tol):
+    """The reduced QP over g with the variant's regularizers; see the module table."""
+    _check_inputs(variant, lib, online, spec)
+    lambda1 = spec.lambda1 if variant.l1 else 0.0
+    lambda2 = spec.lambda2 if variant.ridge else 0.0
+    g2 = None
+    if lambda2 != 0.0:
+        pi1 = rowspace_projector(stack_past_inputs(lib))
+        g2 = np.eye(pi1.shape[0]) - pi1
     u_lo, u_hi = spec.u_bounds()
     y_lo, y_hi = spec.y_bounds()
     red = qp.assemble_reduced(
@@ -236,7 +273,7 @@ def _solve_reduced(
         lambda1=lambda1,
         lambda2=lambda2,
         g2=g2,
-        lambda_y=spec.lambda_y if with_sigma else None,
+        lambda_y=spec.lambda_y if variant.slack else None,
         u_lower=u_lo,
         u_upper=u_hi,
         y_lower=y_lo,
@@ -244,11 +281,11 @@ def _solve_reduced(
     )
     sol = qp.solve(red.qp, tol=tol, max_iter=max_iter, accept_tol=accept_tol)
     if sol.status is not qp.QpStatus.OPTIMAL:
-        raise VariantError(name, sol)
+        raise VariantError(variant.name, sol)
     g, sigma, u, y = red.split(sol.z)
     sigma = sigma if sigma is not None else np.zeros(lib.p * lib.t_ini)
     obj = _variant_objective(
-        spec, g, u, y, sigma if with_sigma else np.zeros(0),
+        spec, g, u, y, sigma if variant.slack else np.zeros(0),
         lambda1=lambda1, lambda2=lambda2, g2=g2,
     )
     return ControlSolution(u=u, y_pred=y, sigma_y=sigma, g=g, objective=obj, solver=sol)
@@ -357,11 +394,7 @@ def solve_basic_deepc(
     and the solver reports it: a :class:`VariantError` with INFEASIBLE status
     is raised rather than silently relaxing the constraint.
     """
-    return _solve_reduced(
-        "basic", lib, online, spec,
-        lambda1=0.0, lambda2=0.0, g2=None, with_sigma=False,
-        tol=tol, max_iter=max_iter, accept_tol=accept_tol,
-    )
+    return _solve_reduced(VARIANTS["basic"], lib, online, spec, tol, max_iter, accept_tol)
 
 
 def solve_hybrid(
@@ -378,16 +411,28 @@ def solve_hybrid(
     lambda_y ||sigma_y||^2`` to the tracking cost, with Pi1 the projector onto
     the row space of col(U_P, Y_P, U_F).
     """
-    if spec.lambda_y <= 0.0:
-        raise ValueError("hybrid variant requires lambda_y > 0")
-    g2 = None
-    if spec.lambda2 != 0.0:
-        pi1 = rowspace_projector(stack_past_inputs(lib))
-        g2 = np.eye(pi1.shape[0]) - pi1
-    return _solve_reduced(
-        "hybrid", lib, online, spec,
-        lambda1=spec.lambda1, lambda2=spec.lambda2, g2=g2, with_sigma=True,
-        tol=tol, max_iter=max_iter, accept_tol=accept_tol,
+    return _solve_reduced(VARIANTS["hybrid"], lib, online, spec, tol, max_iter, accept_tol)
+
+
+def _split_rows(h, lib) -> list:
+    """Cut stacked rows col(U_P, Y_P, U_F, Y_F) into the four blocks (views of ``h``)."""
+    m_t, p_t = lib.m * lib.t_ini, lib.p * lib.t_ini
+    return np.split(h, [m_t, m_t + p_t, m_t + p_t + lib.m * lib.n_horizon])
+
+
+def _library(lib, provenance: str, up, yp, uf, yf, slra=None) -> PreprocessedLibrary:
+    """New library blocks, tagged with a provenance, on ``lib``'s windows."""
+    return PreprocessedLibrary(
+        up=up,
+        yp=yp,
+        uf=uf,
+        yf=yf,
+        t_ini=lib.t_ini,
+        n_horizon=lib.n_horizon,
+        m=lib.m,
+        p=lib.p,
+        provenance=provenance,
+        slra=slra,
     )
 
 
@@ -398,20 +443,7 @@ def preprocess_svd(lib: HankelPartition) -> PreprocessedLibrary:
     only ``numeric_rank`` columns.
     """
     dec = compact_svd(stack_library(lib))
-    h_bar = dec.w * dec.sigma
-    m_t, p_t = lib.m * lib.t_ini, lib.p * lib.t_ini
-    m_n = lib.m * lib.n_horizon
-    return PreprocessedLibrary(
-        up=h_bar[:m_t],
-        yp=h_bar[m_t:m_t + p_t],
-        uf=h_bar[m_t + p_t:m_t + p_t + m_n],
-        yf=h_bar[m_t + p_t + m_n:],
-        t_ini=lib.t_ini,
-        n_horizon=lib.n_horizon,
-        m=lib.m,
-        p=lib.p,
-        provenance="svd",
-    )
+    return _library(lib, "svd", *_split_rows(dec.w * dec.sigma, lib))
 
 
 def solve_svd(
@@ -423,35 +455,13 @@ def solve_svd(
     accept_tol: float | None = None,
 ) -> ControlSolution:
     """Same formulation as the hybrid variant on the SVD-reduced library."""
-    if prelib.provenance != "svd":
-        raise ValueError(f"expected an 'svd' library, got '{prelib.provenance}'")
-    if spec.lambda_y <= 0.0:
-        raise ValueError("svd variant requires lambda_y > 0")
-    g2 = None
-    if spec.lambda2 != 0.0:
-        pi1 = rowspace_projector(stack_past_inputs(prelib))
-        g2 = np.eye(pi1.shape[0]) - pi1
-    return _solve_reduced(
-        "svd", prelib, online, spec,
-        lambda1=spec.lambda1, lambda2=spec.lambda2, g2=g2, with_sigma=True,
-        tol=tol, max_iter=max_iter, accept_tol=accept_tol,
-    )
+    return _solve_reduced(VARIANTS["svd"], prelib, online, spec, tol, max_iter, accept_tol)
 
 
 def build_spc_library(lib: HankelPartition) -> PreprocessedLibrary:
     """Replace Y_F by its row-space projection M = Y_F (H1^+ H1) onto col(U_P, Y_P, U_F)."""
     m_mat = project_rows(lib.yf, stack_past_inputs(lib))
-    return PreprocessedLibrary(
-        up=lib.up,
-        yp=lib.yp,
-        uf=lib.uf,
-        yf=m_mat,
-        t_ini=lib.t_ini,
-        n_horizon=lib.n_horizon,
-        m=lib.m,
-        p=lib.p,
-        provenance="spc-projected",
-    )
+    return _library(lib, "spc-projected", lib.up, lib.yp, lib.uf, m_mat)
 
 
 def solve_dd_spc(
@@ -463,17 +473,7 @@ def solve_dd_spc(
     accept_tol: float | None = None,
 ) -> ControlSolution:
     """Library controller with the projected future-output block (no row-space penalty)."""
-    if prelib.provenance != "spc-projected":
-        raise ValueError(
-            f"expected an 'spc-projected' library, got '{prelib.provenance}'"
-        )
-    if spec.lambda_y <= 0.0:
-        raise ValueError("dd-spc variant requires lambda_y > 0")
-    return _solve_reduced(
-        "ddspc", prelib, online, spec,
-        lambda1=spec.lambda1, lambda2=0.0, g2=None, with_sigma=True,
-        tol=tol, max_iter=max_iter, accept_tol=accept_tol,
-    )
+    return _solve_reduced(VARIANTS["ddspc"], prelib, online, spec, tol, max_iter, accept_tol)
 
 
 def solve_classical_spc(
@@ -489,9 +489,7 @@ def solve_classical_spc(
     The reduced QP runs over (u, sigma_y) only; the predicted output is
     ``Y_F H1^+ col(u_ini, y_ini + sigma_y, u)``.
     """
-    if spec.lambda_y <= 0.0:
-        raise ValueError("classical spc requires lambda_y > 0")
-    _check_online(lib, online)
+    _check_inputs(VARIANTS["spc"], lib, online, spec)
     h1 = stack_past_inputs(lib)
     pred = lib.yf @ pinv(h1)  # (p*N) x rows(H1)
     m_t = lib.m * lib.t_ini
@@ -569,20 +567,7 @@ def preprocess_svd_iter(
     if dec.rank < keep:
         keep = dec.rank
     h_hat = dec.w[:, :keep] * dec.sigma[:keep]
-    m_t = lib.m * lib.t_ini
-    m_n = lib.m * lib.n_horizon
-    return PreprocessedLibrary(
-        up=h_hat[:m_t],
-        yp=h_hat[m_t:m_t + p_t],
-        uf=h_hat[m_t + p_t:m_t + p_t + m_n],
-        yf=h_hat[m_t + p_t + m_n:],
-        t_ini=lib.t_ini,
-        n_horizon=lib.n_horizon,
-        m=lib.m,
-        p=lib.p,
-        provenance="slra-svd",
-        slra=report,
-    )
+    return _library(lib, "slra-svd", *_split_rows(h_hat, lib), slra=report)
 
 
 def solve_svd_iter(
@@ -594,18 +579,8 @@ def solve_svd_iter(
     accept_tol: float | None = None,
 ) -> ControlSolution:
     """Controller on the denoised+reduced library; no l1 term in this formulation."""
-    if prelib.provenance != "slra-svd":
-        raise ValueError(f"expected an 'slra-svd' library, got '{prelib.provenance}'")
-    if spec.lambda_y <= 0.0:
-        raise ValueError("svd-iter variant requires lambda_y > 0")
-    g2 = None
-    if spec.lambda2 != 0.0:
-        pi1 = rowspace_projector(stack_past_inputs(prelib))
-        g2 = np.eye(pi1.shape[0]) - pi1
     return _solve_reduced(
-        "svd-iter", prelib, online, spec,
-        lambda1=0.0, lambda2=spec.lambda2, g2=g2, with_sigma=True,
-        tol=tol, max_iter=max_iter, accept_tol=accept_tol,
+        VARIANTS["svd-iter"], prelib, online, spec, tol, max_iter, accept_tol
     )
 
 
@@ -616,22 +591,12 @@ def realized_cost(plant, true_state, u_applied, spec: ControlSpec) -> float:
     with the same stage weights as the controllers.
     """
     u_seq = np.asarray(u_applied, dtype=float).reshape(spec.n_horizon, spec.m)
-    y_ref = spec.y_ref_vec().reshape(spec.n_horizon, spec.p)
+    y_seq, _ = rollout(plant, true_state, u_seq)
+    dy = y_seq - spec.y_ref_vec().reshape(spec.n_horizon, spec.p)
     q_w, r_w = spec.q_weight, spec.r_weight
     cost = 0.0
-    if isinstance(plant, NonlinearPlant):
-        x = np.asarray(true_state, dtype=float).reshape(2)
-        for k in range(spec.n_horizon):
-            dy = x - y_ref[k]
-            cost += float(dy @ q_w @ dy + u_seq[k] @ r_w @ u_seq[k])
-            x = lv_step(plant, x, u_seq[k, 0])
-    else:
-        x = np.asarray(true_state, dtype=float).reshape(plant.n)
-        for k in range(spec.n_horizon):
-            x_next, y = step_linear(plant, x, u_seq[k])
-            dy = y - y_ref[k]
-            cost += float(dy @ q_w @ dy + u_seq[k] @ r_w @ u_seq[k])
-            x = x_next
+    for k in range(spec.n_horizon):
+        cost += float(dy[k] @ q_w @ dy[k] + u_seq[k] @ r_w @ u_seq[k])
     return cost
 
 

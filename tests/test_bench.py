@@ -1,10 +1,13 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from deepckit import bench
+from deepckit import variants as va
+from deepckit.plants import NonlinearPlant, lv_step, seeded_generator, standard_normal
 
 
 def fast_config(tmp_path, **overrides):
@@ -90,6 +93,113 @@ class TestMakeInstance:
         np.testing.assert_allclose(x, x_true, atol=1e-8)
 
 
+class TestNonlinearRollout:
+    def test_make_instance_and_realized_cost_match_lv_step_loop(self):
+        # reference: the loop over lv_step, with y(k) the state before step k
+        plant = NonlinearPlant(eps=0.5)
+        seed, t_ini, n_horizon, noise_var, x0_scale, scale = 17, 4, 10, 0.01, 2.0, 0.1
+        lib, online, x_true = bench.make_instance(
+            plant, T=60, t_ini=t_ini, n_horizon=n_horizon, noise_var=noise_var,
+            u_lo=-20.0, u_hi=20.0, seed=seed, x0_scale=x0_scale, excitation_scale=scale)
+        rng = seeded_generator((seed ^ bench._ONLINE_SALT) & bench._MASK64)
+        x = x0_scale * standard_normal(rng, 2)
+        u_ini = scale * -20.0 + (scale * 20.0 - scale * -20.0) * rng.random((t_ini, 1))
+        w_ini = np.sqrt(noise_var) * standard_normal(rng, (t_ini, 2))
+        y_ini = np.empty((t_ini, 2))
+        for k in range(t_ini):
+            y_ini[k] = x + w_ini[k]
+            x = lv_step(plant, x, u_ini[k, 0])
+        np.testing.assert_array_equal(online.u_ini, u_ini.ravel())
+        np.testing.assert_array_equal(online.y_ini, y_ini.ravel())
+        np.testing.assert_array_equal(x_true, x)
+
+        spec = va.ControlSpec(
+            t_ini=t_ini, n_horizon=n_horizon, q_weight=np.eye(2), r_weight=0.5 * np.eye(1),
+            y_ref=np.linspace(-1.0, 1.0, 2 * n_horizon))
+        u = np.random.default_rng(0).uniform(-2.0, 2.0, n_horizon)
+        y_ref = spec.y_ref.reshape(n_horizon, 2)
+        cost, x = 0.0, x_true
+        for k in range(n_horizon):
+            dy = x - y_ref[k]
+            cost += float(dy @ spec.q_weight @ dy + u[k:k + 1] @ spec.r_weight @ u[k:k + 1])
+            x = lv_step(plant, x, u[k])
+        assert va.realized_cost(plant, x_true, u, spec) == cost
+
+
+# every CLI variant name, and the module functions it must reach in order
+VARIANT_CALLS = {
+    "basic": ["solve_basic_deepc"],
+    "hybrid": ["solve_hybrid"],
+    "svd": ["preprocess_svd", "solve_svd"],
+    "ddspc": ["build_spc_library", "solve_dd_spc"],
+    "svd-iter": ["preprocess_svd_iter", "solve_svd_iter"],
+    "spc": ["solve_classical_spc"],
+}
+PREPROCESSORS = ("preprocess_svd", "build_spc_library", "preprocess_svd_iter")
+
+
+def spy_on_variants(monkeypatch) -> list:
+    """Replace each solver and pre-processing attribute of the module with a logging spy."""
+    calls = []
+    names = [n for n in dir(va) if n.startswith(("solve_", "preprocess_"))]
+    for name in names + ["build_spc_library"]:
+        def spy(*args, _name=name, _fn=getattr(va, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(va, name, spy)
+    return calls
+
+
+class TestVariantDispatch:
+    def test_every_choice_reaches_its_module_attribute(self, tmp_path, small_plant, monkeypatch):
+        assert set(bench.VARIANT_CHOICES) == set(VARIANT_CALLS)
+        cfg = fast_config(tmp_path, noise_var=0.0, slra_order=2)
+        instance = bench.make_instance(small_plant, T=60, t_ini=2, n_horizon=8,
+                                       noise_var=0.0, u_lo=-1, u_hi=1, seed=5)
+        spec = bench._make_spec(cfg, small_plant)
+        calls = spy_on_variants(monkeypatch)
+        for name, expected in VARIANT_CALLS.items():
+            calls.clear()
+            bench._solve_variant(name, small_plant, instance, spec, cfg, {})
+            assert calls == expected, name
+
+    def test_preprocessing_runs_once_per_instance(self, tmp_path, small_plant, monkeypatch):
+        monkeypatch.setattr(bench, "_make_plant", lambda cfg: small_plant)
+        calls = spy_on_variants(monkeypatch)
+        cfg = fast_config(tmp_path, trials=2, variants=bench.VARIANT_CHOICES, slra_order=2)
+        bench.cmd_benchmark(cfg)
+        for name in PREPROCESSORS:
+            assert calls.count(name) == 2, name
+        for name in bench.VARIANT_CHOICES:
+            assert calls.count(VARIANT_CALLS[name][-1]) == 2, name
+
+        calls.clear()
+        bench.cmd_sweep(cfg, [1e-2, 1.0], [1e-2, 1.0])
+        for name in PREPROCESSORS:
+            assert calls.count(name) == 1, name
+        for name in bench.VARIANT_CHOICES:
+            assert calls.count(VARIANT_CALLS[name][-1]) == 4, name
+
+
+class TestTypedFailures:
+    @pytest.mark.parametrize("command", ["benchmark", "sweep"])
+    def test_plain_value_error_in_rollout_raises(self, command, tmp_path, small_plant,
+                                                 monkeypatch):
+        # only a diverged plant becomes a NaN cell; any other ValueError is a bug
+        def broken(*args, **kwargs):
+            raise ValueError("shape mismatch")
+
+        monkeypatch.setattr(bench, "_make_plant", lambda cfg: small_plant)
+        monkeypatch.setattr(va, "realized_cost", broken)
+        cfg = fast_config(tmp_path, trials=1)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            if command == "benchmark":
+                bench.cmd_benchmark(cfg)
+            else:
+                bench.cmd_sweep(cfg, [1.0], [1.0])
+
+
 class TestEquivalenceCommand:
     def test_self_comparison_is_zero(self, tmp_path, small_plant):
         # identical solves deviate by exactly zero
@@ -99,7 +209,7 @@ class TestEquivalenceCommand:
         from deepckit import variants as va
 
         spec = bench._make_spec(fast_config(tmp_path), small_plant)
-        spec.lambda1, spec.lambda2, spec.lambda_y = 0.0, 30.0, 100.0
+        spec = replace(spec, lambda1=0.0, lambda2=30.0, lambda_y=100.0)
         s1 = va.solve_hybrid(lib, online, spec)
         s2 = va.solve_hybrid(lib, online, spec)
         assert bench._deviation(s1, s2, with_sigma=True) == (0.0, 0.0, 0.0)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from deepckit.matlib import compact_svd, numeric_rank, pinv, rowspace_projector
 from deepckit.plants import (
     LinearPlant,
     NoiseSpec,
+    NonlinearPlant,
+    PlantDiverged,
     collect_trajectory,
     step_linear,
     triple_mass_spring,
@@ -47,6 +50,17 @@ def deviation(a, b, with_sigma=False):
     if with_sigma:
         d = max(d, np.max(np.abs(a.sigma_y - b.sigma_y)))
     return d
+
+
+class TestControlSpec:
+    def test_frozen(self):
+        spec = make_spec(ly=100.0)
+        with pytest.raises(FrozenInstanceError):
+            spec.lambda2 = 1.0
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError):
+            replace(make_spec(), lambda2=-1.0)
 
 
 class TestGroundTruth:
@@ -399,6 +413,14 @@ class TestRealizedCost:
         assert cost == pytest.approx(8 * 0.25, abs=1e-12)
 
 
+    def test_diverged_plant_raises_typed_error(self):
+        plant = NonlinearPlant(eps=0.0)
+        spec = make_spec(p=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PlantDiverged, match="diverged"):
+                va.realized_cost(plant, [1e200, 1e200], np.zeros(8), spec)
+
+
 class TestStructuralInvariants:
     def test_predictor_uniqueness_noise_free(self, small_instances):
         # two coefficient vectors matching the same window give the same output
@@ -443,7 +465,7 @@ class TestStructuralInvariants:
     def test_output_box_respected(self, small_plant, small_instances):
         lib, online, _ = small_instances["noisy"]
         spec = make_spec(l1=0.0, l2=30.0, ly=100.0)
-        spec.y_box = (np.array([-0.4]), np.array([0.4]))
+        spec = replace(spec, y_box=(np.array([-0.4]), np.array([0.4])))
         sol = va.solve_hybrid(lib, online, spec)
         assert np.abs(sol.y_pred).max() <= 0.4 + 1e-7
 
