@@ -225,7 +225,9 @@ def _solve_variant(name, plant, instance, spec, cfg, caches, **solve_opts):
         if variant.provenance == "slra-svd":  # the denoiser's order defaults to the plant's
             order = plant.n if cfg.slra_order is None else cfg.slra_order
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+                warnings.filterwarnings(
+                    "ignore", message=va.SLRA_CAP_WARNING, category=RuntimeWarning
+                )
                 caches[key] = getattr(va, key)(lib, order, eps=cfg.slra_eps)
         else:
             caches[key] = getattr(va, key)(lib)

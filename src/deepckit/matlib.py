@@ -1,4 +1,4 @@
-"""Dense real-matrix kernels: compact SVD, pseudoinverse, rank, row-space projection.
+"""Dense real-matrix kernels: compact SVD, pseudoinverse, rank, row-space projector and complement.
 
 Every routine is a pure function of finite float64 matrices, deterministic for
 a fixed input, and safe to call concurrently.  Numerical rank decisions use a
@@ -14,15 +14,13 @@ import numpy as np
 import scipy.linalg
 
 
-def _svd(arr: np.ndarray, compute_uv: bool = True):
+def _svd(arr: np.ndarray, compute_uv: bool = True, full_matrices: bool = False):
     """SVD with a fallback driver: gesdd occasionally fails to converge."""
     try:
-        return np.linalg.svd(arr, full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.svd(arr, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        if compute_uv:
-            return scipy.linalg.svd(arr, full_matrices=False, lapack_driver="gesvd")
         return scipy.linalg.svd(
-            arr, full_matrices=False, compute_uv=False, lapack_driver="gesvd"
+            arr, full_matrices=full_matrices, compute_uv=compute_uv, lapack_driver="gesvd"
         )
 
 __all__ = [
@@ -31,6 +29,7 @@ __all__ = [
     "compact_svd",
     "pinv",
     "rowspace_projector",
+    "rowspace_complement",
     "numeric_rank",
     "project_rows",
 ]
@@ -87,15 +86,19 @@ def compact_svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> CompactSvd:
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
     w_full, s_full, vt_full = _svd(arr)
-    if s_full.size == 0 or s_full[0] <= 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s_full > rank_tol * s_full[0]))
+    r = _count_rank(s_full, rank_tol)
     w = w_full[:, :r].copy()
     v = vt_full[:r].T.copy()
     sigma = s_full[:r].copy()
     _fix_signs(w, v)
     return CompactSvd(w=w, sigma=sigma, v=v, rank=r)
+
+
+def _count_rank(s: np.ndarray, rank_tol: float) -> int:
+    """Singular values (non-increasing) above ``rank_tol * s[0]``; 0 for a zero matrix."""
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
 def _fix_signs(w: np.ndarray, v: np.ndarray) -> None:
@@ -132,15 +135,27 @@ def rowspace_projector(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return dec.v @ dec.v.T
 
 
+def rowspace_complement(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthonormal basis (cols x (cols - r)) of the orthogonal complement of ``a``'s row space.
+
+    ``r`` is the rank :func:`compact_svd` keeps at ``rank_tol``; the columns are
+    the trailing right singular vectors of a full SVD, so ``n @ n.T`` equals
+    ``I - rowspace_projector(a, rank_tol)`` to machine precision.  A matrix of
+    full column rank yields a (cols x 0) basis.
+    """
+    arr = _as_matrix(a)
+    if rank_tol <= 0:
+        raise ValueError("rank_tol must be positive")
+    _, s, vt = _svd(arr, full_matrices=True)
+    return vt[_count_rank(s, rank_tol):].T.copy()
+
+
 def numeric_rank(a, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above ``rank_tol * sigma_max`` (0 for a zero matrix)."""
     arr = _as_matrix(a)
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    s = _svd(arr, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return _count_rank(_svd(arr, compute_uv=False), rank_tol)
 
 
 def project_rows(b, a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

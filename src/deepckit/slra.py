@@ -5,6 +5,14 @@ the input Hankel, replace the rest by its best low-rank approximation) with
 the orthogonal projection onto block-Hankel structure, until the relative
 Frobenius change drops below a threshold.  The input Hankel is never modified;
 only the output side is denoised.
+
+The truncation works in complement coordinates.  An orthonormal basis ``N`` of
+the complement of the input row space is computed once per denoise; a pass
+forms ``A = H N``, takes the top ``n_order`` eigenpairs of the small Gram
+matrix ``A.T A`` (the leading right singular vectors of ``A``), and replaces
+``A N.T`` -- the part of ``H`` outside the row space -- by ``A V V.T N.T``.
+That is the same truncated-SVD step written for the subspace it touches, with
+no full SVD and no dense projector per pass.
 """
 
 from __future__ import annotations
@@ -12,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .hankel import hankel_project
-from .matlib import _as_matrix, compact_svd, rowspace_projector
+from .matlib import DEFAULT_RANK_TOL, _as_matrix, rowspace_complement
 
 __all__ = ["SlraReport", "range_truncate", "iterative_slra"]
 
@@ -46,19 +55,35 @@ def range_truncate(h_y, pi2, n_order: int) -> np.ndarray:
     pi2 = _as_matrix(pi2, "pi2")
     if pi2.shape[0] != pi2.shape[1] or pi2.shape[0] != h_y.shape[1]:
         raise ValueError("pi2 must be square with h_y's column dimension")
-    if n_order < 0 or n_order > h_y.shape[0]:
-        raise ValueError(f"n_order must lie in [0, {h_y.shape[0]}]")
     scale = max(1.0, float(np.abs(pi2).max()))
     if float(np.abs(pi2 @ pi2 - pi2).max()) > 1e-8 * scale:
         raise ValueError("pi2 is not idempotent to 1e-8")
-    null_part = h_y - h_y @ pi2
-    dec = compact_svd(null_part) if np.any(null_part) else None
-    if dec is None or dec.rank == 0:
-        low_rank = np.zeros_like(h_y)
-    else:
-        k = min(n_order, dec.rank)
-        low_rank = (dec.w[:, :k] * dec.sigma[:k]) @ dec.v[:, :k].T
-    return h_y @ pi2 + low_rank
+    if float(np.abs(pi2 - pi2.T).max()) > 1e-8 * scale:
+        raise ValueError("pi2 is not symmetric to 1e-8")
+    return _truncate(h_y, rowspace_complement(pi2), n_order)
+
+
+def _truncate(h: np.ndarray, basis: np.ndarray, n_order: int) -> np.ndarray:
+    """Replace the part of ``h`` in span(``basis``) by its best rank-``n_order`` approximation.
+
+    ``basis`` has orthonormal columns.  The leading right singular vectors of
+    ``A = h @ basis`` come from a partial eigensolve of ``A.T @ A``; a pair is
+    dropped when ``||A v|| <= DEFAULT_RANK_TOL * sigma_max``, the rank rule of
+    :func:`~deepckit.matlib.compact_svd`.  ``||A v||`` is used instead of the
+    square root of the eigenvalue, which loses half the digits.
+    """
+    if n_order < 0 or n_order > h.shape[0]:
+        raise ValueError(f"n_order must lie in [0, {h.shape[0]}]")
+    a = h @ basis
+    dim = basis.shape[1]
+    k = min(n_order, dim)
+    if k == 0:
+        return h - a @ basis.T
+    _, v = scipy.linalg.eigh(a.T @ a, subset_by_index=[dim - k, dim - 1])
+    av = a @ v
+    norms = np.linalg.norm(av, axis=0)
+    keep = norms > DEFAULT_RANK_TOL * norms.max()
+    return h + (av[:, keep] @ v[:, keep].T - a) @ basis.T
 
 
 def iterative_slra(
@@ -71,8 +96,9 @@ def iterative_slra(
 ) -> SlraReport:
     """Denoise an output Hankel while preserving its block-Hankel structure.
 
-    Each pass applies :func:`range_truncate` with the projector onto the row
-    space of ``h_u`` and then re-imposes Hankel structure by skew-diagonal
+    Each pass does what :func:`range_truncate` does with the projector onto
+    the row space of ``h_u``, in the coordinates of that row space's
+    complement, and then re-imposes Hankel structure by skew-diagonal
     averaging, stopping once ``||H1 - H2||_F <= eps * ||H1||_F`` where H2 is
     the truncation output and H1 its Hankel projection.
 
@@ -95,7 +121,7 @@ def iterative_slra(
         raise ValueError("h_u and h_y must have equal column counts")
     if eps <= 0.0 or max_iter < 1:
         raise ValueError("eps must be positive and max_iter >= 1")
-    pi2 = rowspace_projector(h_u)
+    basis = rowspace_complement(h_u)
     block = block_size if block_size is not None else _infer_block(
         h_y.shape[0], h_u.shape[0]
     )
@@ -107,7 +133,7 @@ def iterative_slra(
     iters = 0
     for _ in range(max_iter):
         iters += 1
-        h2 = range_truncate(h1, pi2, n_order)
+        h2 = _truncate(h1, basis, n_order)
         h1 = hankel_project(h2, block)
         denom = float(np.linalg.norm(h1, "fro"))
         diff = float(np.linalg.norm(h1 - h2, "fro"))

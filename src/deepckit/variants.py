@@ -51,6 +51,7 @@ __all__ = [
     "solve_dd_spc",
     "solve_classical_spc",
     "preprocess_svd_iter",
+    "SLRA_CAP_WARNING",
     "solve_svd_iter",
     "realized_cost",
     "stack_library",
@@ -533,6 +534,10 @@ def solve_classical_spc(
     )
 
 
+# start of the RuntimeWarning raised when the denoiser stops at its pass limit
+SLRA_CAP_WARNING = "structured low-rank denoiser hit the iteration cap"
+
+
 def preprocess_svd_iter(
     lib: HankelPartition,
     n_order: int,
@@ -554,8 +559,7 @@ def preprocess_svd_iter(
     report = iterative_slra(h_y, h_u, n_order, eps, max_iter, block_size=lib.p)
     if not report.converged:
         warnings.warn(
-            f"structured low-rank denoiser hit the iteration cap "
-            f"(rel change {report.final_rel_change:.2e})",
+            f"{SLRA_CAP_WARNING} (rel change {report.final_rel_change:.2e})",
             RuntimeWarning,
         )
     p_t = lib.p * lib.t_ini

@@ -1,6 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +187,31 @@ class TestVariantDispatch:
             assert calls.count(VARIANT_CALLS[name][-1]) == 4, name
 
 
+class TestDenoiserWarnings:
+    @pytest.mark.parametrize("message, quiet", [
+        ("overflow encountered in matmul", False),
+        (f"{va.SLRA_CAP_WARNING} (rel change 1.00e-03)", True),
+    ])
+    def test_only_the_iteration_cap_is_quiet(self, message, quiet, tmp_path, small_plant,
+                                             monkeypatch):
+        real = va.preprocess_svd_iter
+
+        def warns(*args, **kwargs):
+            warnings.warn(message, RuntimeWarning)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(va, "preprocess_svd_iter", warns)
+        cfg = fast_config(tmp_path, noise_var=0.0, slra_order=2)
+        instance = bench.make_instance(small_plant, T=60, t_ini=2, n_horizon=8,
+                                       noise_var=0.0, u_lo=-1, u_hi=1, seed=5)
+        spec = bench._make_spec(cfg, small_plant)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bench._solve_variant("svd-iter", small_plant, instance, spec, cfg, {})
+        surfaced = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert (message not in surfaced) == quiet
+
+
 class TestTypedFailures:
     @pytest.mark.parametrize("command", ["benchmark", "sweep"])
     def test_plain_value_error_in_rollout_raises(self, command, tmp_path, small_plant,
@@ -353,6 +383,17 @@ class TestEmitSvg:
 
 
 class TestCli:
+    def test_module_entry_point_imports_once(self):
+        # an eager package import of bench makes runpy warn and run the CLI module twice
+        src = str(Path(bench.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "deepckit.bench", "--help"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: deepckit-bench" in proc.stdout
+
     def test_sweep_subcommand(self, tmp_path, small_plant, monkeypatch, capsys):
         monkeypatch.setattr(bench, "_make_plant", lambda cfg: small_plant)
         cfg_file = tmp_path / "cfg.json"

@@ -174,6 +174,19 @@ class TestRowspaceProjector:
         np.testing.assert_allclose(proj, matlib.pinv(a) @ a, atol=1e-8)
 
 
+class TestRowspaceComplement:
+    @pytest.mark.parametrize("shape, rank", [((5, 7), 3), ((4, 9), 4), ((7, 5), 5), ((2, 3), 0)])
+    def test_orthonormal_complement_of_projector(self, shape, rank):
+        rng = np.random.default_rng(rank)
+        a = random_matrix(rng, *shape, rank=rank) if rank else np.zeros(shape)
+        n = matlib.rowspace_complement(a)
+        assert n.shape == (shape[1], shape[1] - rank)
+        np.testing.assert_allclose(n.T @ n, np.eye(n.shape[1]), atol=1e-12)
+        np.testing.assert_allclose(
+            n @ n.T, np.eye(shape[1]) - matlib.rowspace_projector(a), atol=1e-12
+        )
+
+
 class TestNumericRank:
     def test_tiny_singular_value_filtered(self):
         assert matlib.numeric_rank(np.diag([1.0, 1e-14]), 1e-8) == 1

@@ -3,7 +3,7 @@ import pytest
 
 from deepckit import slra
 from deepckit.hankel import build_block_hankel, hankel_project
-from deepckit.matlib import numeric_rank, rowspace_projector
+from deepckit.matlib import compact_svd, numeric_rank, rowspace_projector
 from deepckit.plants import NoiseSpec, collect_trajectory, triple_mass_spring
 
 
@@ -16,6 +16,27 @@ def noisy_pair(seed, variance=0.01, T=200, t_ini=4, n_horizon=40):
     clean = collect_trajectory(plant, T, box, NoiseSpec(0.0, seed))
     h_u = build_block_hankel(noisy.u_d, depth)
     return h_u, build_block_hankel(noisy.y_d, depth), build_block_hankel(clean.y_d, depth)
+
+
+def reference_slra(h_y, h_u, n_order, eps, max_iter, block_size):
+    """The loop in projector coordinates: full compact SVD of the null-space part per pass."""
+    pi2 = rowspace_projector(h_u)
+    h1 = h_y.copy()
+    rel_changes = []
+    for _ in range(max_iter):
+        null_part = h1 - h1 @ pi2
+        dec = compact_svd(null_part) if np.any(null_part) else None
+        h2 = h1 @ pi2
+        if dec is not None and dec.rank:
+            k = min(n_order, dec.rank)
+            h2 = h2 + (dec.w[:, :k] * dec.sigma[:k]) @ dec.v[:, :k].T
+        h1 = hankel_project(h2, block_size)
+        denom = np.linalg.norm(h1)
+        diff = np.linalg.norm(h1 - h2)
+        rel_changes.append(diff / denom if denom > 0.0 else 0.0)
+        if diff <= eps * denom:
+            return h1, rel_changes, True
+    return h1, rel_changes, False
 
 
 class TestRangeTruncate:
@@ -46,8 +67,32 @@ class TestRangeTruncate:
 
     def test_invalid_projector_rejected(self):
         rng = np.random.default_rng(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="idempotent"):
             slra.range_truncate(rng.standard_normal((4, 5)), rng.standard_normal((5, 5)), 1)
+
+    def test_oblique_projector_rejected(self):
+        # idempotent but not symmetric: its range is not an orthogonal split
+        rng = np.random.default_rng(3)
+        oblique = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            slra.range_truncate(rng.standard_normal((4, 2)), oblique, 1)
+
+    def test_directions_below_rank_tol_dropped(self):
+        # null-space singular values 1 and 1e-12: the second is below compact_svd's
+        # 1e-10 relative rank threshold, so even n_order=2 keeps one direction
+        rng = np.random.default_rng(5)
+        pi2 = rowspace_projector(rng.standard_normal((3, 9)))
+        q = np.linalg.qr(rng.standard_normal((9, 9)) @ (np.eye(9) - pi2))[0][:, :2]
+        w = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+        h_y = rng.standard_normal((6, 9)) @ pi2 + (w * [1.0, 1e-12]) @ q.T
+        out = slra.range_truncate(h_y, pi2, 2)
+        assert numeric_rank(out @ (np.eye(9) - pi2), 1e-13) == 1
+
+    def test_zero_order_keeps_only_projected_part(self):
+        rng = np.random.default_rng(4)
+        pi2 = rowspace_projector(rng.standard_normal((3, 8)))
+        h_y = rng.standard_normal((5, 8))
+        np.testing.assert_allclose(slra.range_truncate(h_y, pi2, 0), h_y @ pi2, atol=1e-12)
 
 
 class TestIterativeSlra:
@@ -125,3 +170,62 @@ class TestIterativeSlra:
         report = slra.iterative_slra(h_y_clean, h_u, 8, eps=1e-6)
         rel = np.linalg.norm(report.h_y_star - h_y_clean) / np.linalg.norm(h_y_clean)
         assert rel <= 1e-10
+
+    def test_full_column_rank_input_single_pass(self):
+        # the complement of h_u's row space is empty, so nothing is truncated
+        rng = np.random.default_rng(12)
+        h_u = rng.standard_normal((12, 9))
+        h_y = build_block_hankel(rng.standard_normal((10, 3)), 2)
+        report = slra.iterative_slra(h_y, h_u, 2, eps=1e-6, block_size=3)
+        assert report.converged
+        assert report.iterations == 1
+        np.testing.assert_array_equal(report.h_y_star, hankel_project(h_y, 3))
+
+    def test_output_inside_input_row_space_converges_at_once(self):
+        # y_t = D u_t makes H_y = (I (x) D) H_u: block-Hankel and inside H_u's row space
+        rng = np.random.default_rng(13)
+        u = rng.standard_normal((60, 2))
+        h_u = build_block_hankel(u, 8)
+        h_y = build_block_hankel(u @ rng.standard_normal((2, 3)), 8)
+        report = slra.iterative_slra(h_y, h_u, 8, eps=1e-6, block_size=3)
+        assert report.converged
+        assert report.iterations == 1
+        np.testing.assert_allclose(report.h_y_star, h_y, atol=1e-12)
+
+    def test_zero_order_pass_drops_the_complement(self):
+        h_u, h_y, _ = noisy_pair(seed=14)
+        report = slra.iterative_slra(h_y, h_u, 0, eps=1e-6, max_iter=1, block_size=3)
+        first = hankel_project(h_y @ rowspace_projector(h_u), 3)
+        np.testing.assert_allclose(report.h_y_star, first, atol=1e-12)
+
+    def test_negative_order_rejected(self):
+        h_u, h_y, _ = noisy_pair(seed=15)
+        with pytest.raises(ValueError, match="n_order"):
+            slra.iterative_slra(h_y, h_u, -1, block_size=3)
+
+
+@pytest.mark.parametrize("n_order", [0, 2, 8, 10])
+@pytest.mark.parametrize("variance", [0.01, 0.0])
+def test_matches_projector_loop(n_order, variance):
+    h_u, h_y, _ = noisy_pair(seed=1000 + n_order, variance=variance)
+    eps, max_iter = 1e-6, 25
+    h_ref, rel_ref, conv_ref = reference_slra(h_y, h_u, n_order, eps, max_iter, 3)
+    report = slra.iterative_slra(h_y, h_u, n_order, eps=eps, max_iter=max_iter, block_size=3)
+    assert report.iterations == len(rel_ref)
+    assert report.converged == conv_ref
+    scale = np.linalg.norm(h_ref)
+    assert np.abs(report.h_y_star - h_ref).max() <= 1e-10 * scale
+    np.testing.assert_allclose(report.rel_changes, rel_ref, rtol=0.0, atol=1e-10)
+
+
+def test_paper_scale_micro_benchmark(benchmark):
+    h_u, h_y, _ = noisy_pair(seed=1000)
+    report = benchmark.pedantic(
+        slra.iterative_slra,
+        args=(h_y, h_u, 8),
+        kwargs={"eps": 1e-6, "max_iter": 20, "block_size": 3},
+        rounds=3,
+        iterations=1,
+    )
+    assert report.iterations == 20
+    assert report.h_y_star.shape == h_y.shape
