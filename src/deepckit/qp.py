@@ -6,18 +6,30 @@ Problems have the form
     subject to  A_eq z = b_eq,   lower <= z <= upper
 
 with P symmetric positive semidefinite and w >= 0 elementwise.  The solver is
-a Mehrotra predictor-corrector primal-dual interior-point method on the dense
-KKT system.  Each iteration LU-factors its KKT matrix once, and the predictor,
-the corrector and their refinement steps all solve against that one
-factorization.  Problem sizes here stay below a few hundred variables, where a
-dense LU factorization per iteration is cheap and delivers the high-accuracy
-solutions needed to certify equivalence results to 1e-5 and tighter.
+a Mehrotra predictor-corrector primal-dual interior-point method.  Each
+iteration factors its Newton matrix once, and the predictor, the corrector
+and their refinement steps share that factorization.
+
+The Newton step is solved in the program's own structure where it has one.
+Each l1 pair (see below) folds back into one variable, and a separable
+variable (its row of P is diagonal and it appears in exactly one equality row)
+is eliminated together with that row.  For the DeePC template this removes the
+slacks, the future inputs and their rows: at paper scale the iteration
+LU-factors a 165x165 matrix in place of the 506x506 KKT matrix.  Every reduced
+step is refined against the full KKT operator, applied as matrix-vector
+products, and is kept only when its componentwise backward error is at
+roundoff (1e-14).  Otherwise, and in programs without such structure, the step
+comes from an LU factorization of the dense KKT matrix.  Dense factorizations
+keep the solutions accurate enough to certify equivalence results to 1e-5 and
+tighter.  ``QpSolution.events`` counts the steps that fell back to the full
+matrix and the times its regularization had to be raised.
 
 The l1 terms are handled exactly by splitting each weighted variable into a
 difference of nonnegative parts (z_i = a_i - b_i); at the optimum the split is
 complementary (a_i * b_i = O(tol)).  Infinite bounds are treated as absent
-constraints, never as large numbers.  An inconsistent equality system is
-detected up front via the least-squares residual and reported as Infeasible.
+constraints, never as large numbers.  One SVD of the scaled equality matrix
+gives the least-squares starting points, and its residual detects an
+inconsistent equality system up front, which is reported as Infeasible.
 
 Reported residuals are relative measures: `primal_residual` scales equality
 violations by 1 + |b| + |A z| per row, `dual_residual` scales stationarity by
@@ -28,6 +40,7 @@ divided by 1 + |objective|.
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,9 +144,19 @@ class QuadProgram:
         )
 
 
+def _new_events() -> dict:
+    return {"reduced_step_fallbacks": 0, "regularization_escalations": 0}
+
+
 @dataclass
 class QpSolution:
-    """Solver output: primal point, objective, scaled residuals, and status."""
+    """Solver output: primal point, objective, scaled residuals, and status.
+
+    ``events`` counts, over the whole solve, the Newton steps whose reduced
+    form was not at roundoff and fell back to the full KKT matrix
+    (``reduced_step_fallbacks``) and the moves of the full matrix's
+    regularization to a higher level (``regularization_escalations``).
+    """
 
     z: np.ndarray
     objective: float
@@ -142,6 +165,7 @@ class QpSolution:
     gap: float
     iterations: int
     status: QpStatus
+    events: dict = field(default_factory=_new_events)
     _cert: dict | None = field(default=None, repr=False)
 
 
@@ -194,21 +218,229 @@ def _measure(P, q, A, b, lo, hi, jl, ju, x, y, zl, zu):
     return primal, dual, gap
 
 
+# Static KKT regularization: variable i's diagonal gets +_SHIFT * (1 + |P_ii| +
+# D_i) and each equality row's -_SHIFT, times the escalation level in _BUMPS.
+_SHIFT = 1e-12
 _BUMPS = (1.0, 1e3, 1e6)  # regularization escalation levels, tried in order
+
+# A reduced Newton step is kept when, after at most _REFINE_STEPS refinement
+# steps, every row of the full KKT system holds to this componentwise
+# relative backward error, |rhs - K w| <= tau * (|rhs| + |K| |w|); otherwise
+# the step is recomputed from the LU of the full matrix.
+_STEP_BACKWARD_ERROR = 1e-14
+_REFINE_STEPS = 3
+
+
+class _Structure:
+    """What a lifted program's Newton steps can be reduced by; found once per solve.
+
+    * The l1 pairs of :func:`_lift_program`: lifted variable ``n + j`` is the
+      negative part of variable ``pos[j]``, so the lifted matrices are
+      P = E P_f E' and A = A_f E' with E' x = x[:n] - (x[n:] placed at
+      ``pos``).  A pair folds into the one variable E' x.
+    * Separable variables: folded variables whose row of P_f is diagonal and
+      that appear in exactly one equality row.  Each is eliminated together
+      with its row.
+
+    :meth:`of` returns None when the program has neither, so that its steps
+    go straight to the full LU.
+    """
+
+    def __init__(self, P, A, idx_l1):
+        n = P.shape[0] - idx_l1.size
+        self.n, self.me = n, A.shape[0]
+        self.pos = idx_l1
+        self.neg = n + np.arange(idx_l1.size)
+        self.p_fold = P[:n, :n]
+        self.a_fold = A[:, :n]
+        self.abs_p = np.abs(self.p_fold)
+        self.abs_a = np.abs(self.a_fold)
+        diag = np.diag(self.p_fold)
+        off_diagonal = np.count_nonzero(self.p_fold, axis=1) - (diag != 0)
+        self.sep = np.flatnonzero(
+            (off_diagonal == 0) & (np.count_nonzero(self.a_fold, axis=0) == 1)
+        )
+        self.sep_row = np.nonzero(self.a_fold[:, self.sep].T)[1]  # one nonzero each
+        self.sep_coef = self.a_fold[self.sep_row, self.sep]
+        self.sep_curv = diag[self.sep]
+        self._partitions = {}
+
+    @classmethod
+    def of(cls, P, A, idx_l1):
+        st = cls(P, A, idx_l1)
+        return st if st.pos.size or st.sep.size else None
+
+    def partition(self, elim):
+        """Kept variables, eliminated rows, kept rows and the matrix blocks they
+        index, when the separable variables selected by the mask ``elim`` are
+        eliminated.  Cached: the mask rarely changes between iterates."""
+        key = elim.tobytes()
+        if key not in self._partitions:
+            rows = np.unique(self.sep_row[elim])
+            keep = np.setdiff1d(np.arange(self.n), self.sep[elim], assume_unique=True)
+            keep_rows = np.setdiff1d(np.arange(self.me), rows, assume_unique=True)
+            self._partitions[key] = (
+                keep, rows, keep_rows,
+                self.p_fold[np.ix_(keep, keep)],
+                self.a_fold[np.ix_(rows, keep)],
+                self.a_fold[np.ix_(keep_rows, keep)],
+            )
+        return self._partitions[key]
+
+    def product(self, diag_term, dx, dy, absolute=False):
+        """K w for the lifted KKT matrix with barrier diagonal ``diag_term``
+        and w = (dx, dy); with ``absolute``, |K| w instead."""
+        n = self.n
+        p, a, sign = (self.abs_p, self.abs_a, 1.0) if absolute else (self.p_fold, self.a_fold, -1.0)
+        v = dx[:n].copy()
+        v[self.pos] += sign * dx[self.neg]
+        top_fold = p @ v + a.T @ dy
+        top = diag_term * dx
+        top[:n] += top_fold
+        top[n:] += sign * top_fold[self.pos]
+        return np.concatenate([top, a @ v])
+
+
+class _ReducedStep:
+    """One iterate's Newton step with the l1 pairs folded and separable variables eliminated.
+
+    A pair with barrier diagonals D+ and D- folds to one variable with the
+    diagonal D+ D- / (D+ + D-).  A separable variable s with curvature
+    H_s = P_ss + D_s > 0 and coefficient a_s in row r is eliminated with that
+    row, which adds a_r' a_r / c_r to the kept block, where a_r is the row on
+    the kept variables and c_r = sum of a_s^2 / H_s over the row's separable
+    variables.  A row holding a separable variable with H_s = 0 is kept, with
+    its separable variables.  The remaining matrix gets the full matrix's
+    first regularization level on its kept variables (scaled by each one's
+    own curvature, not by the rank-one terms) and on its kept rows, so that a
+    singular block, such as non-unique g, still yields a bounded step.  It
+    is LU-factored once, and every step is refined against the full lifted
+    unregularized operator, applied through :meth:`_Structure.product`.
+    """
+
+    def __init__(self, st: _Structure, diag_term):
+        self.st, self.diag = st, diag_term
+        self.d_pos, self.d_neg = diag_term[st.pos], diag_term[st.neg]
+        self.d_fold = diag_term[: st.n].copy()
+        with np.errstate(all="ignore"):  # a non-finite entry voids the factorization
+            self.d_fold[st.pos] = self.d_pos * self.d_neg / (self.d_pos + self.d_neg)
+        curv = st.sep_curv + self.d_fold[st.sep]
+        elim = curv > 0.0
+        if not elim.all():
+            elim &= ~np.isin(st.sep_row, st.sep_row[~elim])
+        self.keep, self.rows, self.keep_rows, p_keep, self.a_elim, a_keep = st.partition(elim)
+        self.sep, self.sep_row = st.sep[elim], st.sep_row[elim]
+        self.sep_coef, self.sep_curv = st.sep_coef[elim], curv[elim]
+        with np.errstate(all="ignore"):
+            c_row = np.bincount(
+                self.sep_row, weights=self.sep_coef**2 / self.sep_curv, minlength=st.me
+            )
+            self.inv_c = 1.0 / c_row[self.rows]
+            r, k = self.keep.size, self.keep_rows.size
+            m = np.zeros((r + k, r + k))
+            m[:r, :r] = p_keep + (self.a_elim.T * self.inv_c) @ self.a_elim
+        m[np.arange(r), np.arange(r)] += self.d_fold[self.keep] + _SHIFT * (
+            1.0 + np.abs(np.diag(p_keep)) + self.d_fold[self.keep]
+        )
+        m[np.arange(r, r + k), np.arange(r, r + k)] = -_SHIFT
+        m[:r, r:] = a_keep.T
+        m[r:, :r] = a_keep
+        self._lu = self._factor(m)
+
+    @staticmethod
+    def _factor(m):
+        """LU factors of ``m``, or None when it is not finite or not regular."""
+        if not np.isfinite(m).all():
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                return scipy.linalg.lu_factor(m, check_finite=False)
+            except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning, ValueError):
+                return None
+
+    def _apply(self, rhs):
+        """One unrefined reduced solve of K w = rhs."""
+        st = self.st
+        n, n_lift = st.n, st.n + st.pos.size
+        rx, ry = rhs[:n_lift], rhs[n_lift:]
+        da, db = self.d_pos, self.d_neg
+        ra, rb = rx[st.pos], rx[st.neg]
+        rv = rx[:n].copy()
+        rv[st.pos] = (db * ra - da * rb) / (da + db)
+        t = np.bincount(
+            self.sep_row, weights=self.sep_coef * rv[self.sep] / self.sep_curv,
+            minlength=st.me,
+        )
+        s_elim = (t[self.rows] - ry[self.rows]) * self.inv_c
+        b = np.concatenate([rv[self.keep] - self.a_elim.T @ s_elim, ry[self.keep_rows]])
+        b = scipy.linalg.lu_solve(self._lu, b, check_finite=False)
+        r = self.keep.size
+        v = np.empty(n)
+        v[self.keep] = b[:r]
+        dy = np.empty(st.me)
+        dy[self.keep_rows] = b[r:]
+        dy[self.rows] = (self.a_elim @ b[:r]) * self.inv_c + s_elim
+        v[self.sep] = (rv[self.sep] - self.sep_coef * dy[self.sep_row]) / self.sep_curv
+        coupling = rv[st.pos] - self.d_fold[st.pos] * v[st.pos]
+        dx = np.empty(n_lift)
+        dx[:n] = v
+        dx[st.pos] = (ra - coupling) / da
+        dx[st.neg] = (rb + coupling) / db
+        return np.concatenate([dx, dy])
+
+    def _residual(self, rhs, w):
+        """Residual against the full operator and its componentwise backward error."""
+        n_lift = self.st.n + self.st.pos.size
+        dx, dy = w[:n_lift], w[n_lift:]
+        res = rhs - self.st.product(self.diag, dx, dy)
+        scale = np.abs(rhs) + self.st.product(self.diag, np.abs(dx), np.abs(dy), absolute=True)
+        return res, float(np.max(np.abs(res) / np.maximum(scale, np.finfo(float).tiny)))
+
+    def solve(self, rhs):
+        """The refined reduced step, or None when it does not hold at roundoff."""
+        if self._lu is None:
+            return None
+        with np.errstate(all="ignore"):  # a non-finite step fails the test below
+            w = self._apply(rhs)
+            res, omega = self._residual(rhs, w)
+            for _ in range(_REFINE_STEPS):
+                if omega <= _STEP_BACKWARD_ERROR:
+                    break
+                w_try = w + self._apply(res)
+                res_try, omega_try = self._residual(rhs, w_try)
+                if not omega_try < omega:
+                    break
+                w, res, omega = w_try, res_try, omega_try
+        return w if omega <= _STEP_BACKWARD_ERROR else None
 
 
 class _Kkt:
-    """The (regularized) reduced KKT matrix of one iterate, LU-factored at most once per level.
+    """The lifted KKT matrix of one iterate.
 
-    Uses a static diagonal regularization scaled to each variable's own
-    curvature plus iterative refinement against the unregularized matrix, so
-    singular KKT systems (non-unique optimizers) still yield accurate steps.
-    A regularization level is factored the first time a right-hand side needs
-    it and the factorization is cached, so every solve against this matrix
-    (predictor, corrector, their refinement steps) shares one LU.
+    With a :class:`_Structure`, each right-hand side is first solved by the
+    :class:`_ReducedStep`.  The first step that is not at roundoff falls back
+    to the LU of the full matrix for the rest of this iterate, and is counted
+    in ``events``.
+
+    The full matrix gets a static diagonal regularization scaled to each
+    variable's own curvature plus iterative refinement against the
+    unregularized matrix, so singular KKT systems (non-unique optimizers)
+    still yield accurate steps.  A regularization level is factored the first
+    time a right-hand side needs it and the factorization is cached, so every
+    solve against this matrix (predictor, corrector, their refinement steps)
+    shares one LU.  Each move to a higher level is counted in ``events``.
     """
 
-    def __init__(self, P, diag_term, A):
+    def __init__(self, P, diag_term, A, events, structure=None):
+        self._parts = (P, diag_term, A)
+        self._events = events
+        self._reduced = None if structure is None else _ReducedStep(structure, diag_term)
+        self.k0 = None
+        self._lu = {}  # bump -> LU factors, or None when factorization failed
+
+    def _build(self):
+        P, diag_term, A = self._parts
         n = P.shape[0]
         me = A.shape[0]
         dim = n + me
@@ -220,9 +452,8 @@ class _Kkt:
             k0[n:, :n] = A
         self.k0 = k0
         self._shift = np.zeros(dim)
-        self._shift[:n] = 1e-12 * (1.0 + np.abs(np.diag(P)) + diag_term)
-        self._shift[n:] = -1e-12
-        self._lu = {}  # bump -> LU factors, or None when factorization failed
+        self._shift[:n] = _SHIFT * (1.0 + np.abs(np.diag(P)) + diag_term)
+        self._shift[n:] = -_SHIFT
 
     def _factor(self, bump):
         if bump not in self._lu:
@@ -235,11 +466,22 @@ class _Kkt:
         return self._lu[bump]
 
     def solve(self, rhs):
-        """Solve against the first regularization level that yields a finite step."""
+        """Solve K w = rhs: the reduced step if it holds, else the first
+        regularization level of the full LU that yields a finite step."""
         if not np.isfinite(rhs).all():
             raise np.linalg.LinAlgError("non-finite KKT right-hand side")
+        if self._reduced is not None:
+            w = self._reduced.solve(rhs)
+            if w is not None:
+                return w
+            self._reduced = None
+            self._events["reduced_step_fallbacks"] += 1
+        if self.k0 is None:
+            self._build()
         k0 = self.k0
-        for bump in _BUMPS:
+        for level, bump in enumerate(_BUMPS):
+            if level:
+                self._events["regularization_escalations"] += 1
             lu = self._factor(bump)
             if lu is None:
                 continue
@@ -278,11 +520,14 @@ def _max_step(v, dv):
     return float(np.min(-v[neg] / dv[neg]))
 
 
-def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0=None, accept_tol=None):
+def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0, a_pinv, structure, accept_tol=None):
     """Mehrotra predictor-corrector for box- and equality-constrained QPs.
 
-    Iterates toward ``tol``; if progress stalls first (conditioning floor),
-    the best iterate seen is returned and judged against ``accept_tol``.
+    Starts from ``x0``; ``a_pinv`` is the pseudo-inverse of ``A`` (None when
+    there are no equalities) and ``structure`` the program's
+    :class:`_Structure` (or None).  Iterates toward ``tol``; if progress
+    stalls first (conditioning floor), the best iterate seen is returned and
+    judged against ``accept_tol``.  Also returns the solver's event counts.
     """
     accept_tol = tol if accept_tol is None else max(tol, accept_tol)
     n = q.size
@@ -290,25 +535,20 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0=None, accept_tol=None):
     jl = np.flatnonzero(np.isfinite(lo))
     ju = np.flatnonzero(np.isfinite(hi))
     nb = jl.size + ju.size
+    events = _new_events()
 
-    if x0 is not None:
-        x = np.asarray(x0, dtype=float).ravel().copy()
-    elif me:
-        x = np.linalg.lstsq(A, b, rcond=None)[0]
-    else:
-        x = np.zeros(n)
-    x = _push_interior(x, lo, hi)
+    x = _push_interior(x0, lo, hi)
     # dual start near the least-squares stationary point; bound duals pick up
     # the scale of the gradient so l1-split weights do not derail early steps
     grad = P @ x + q
-    y = np.linalg.lstsq(A.T, -grad, rcond=None)[0] if me else np.zeros(0)
+    y = a_pinv.T @ -grad if me else np.zeros(0)
     resid = grad + (A.T @ y if me else 0.0)
     zl = np.maximum(1.0, resid[jl])
     zu = np.maximum(1.0, -resid[ju])
 
     if nb == 0:
         # Equality-constrained QP: Newton is exact, polish a few times.
-        kkt = _Kkt(P, np.zeros(n), A)
+        kkt = _Kkt(P, np.zeros(n), A, events, structure)
         iters = 0
         for _ in range(3):
             iters += 1
@@ -325,7 +565,7 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0=None, accept_tol=None):
             if max(primal, dual, gap) <= accept_tol
             else QpStatus.MAX_ITERATIONS
         )
-        return x, y, zl, zu, iters, status, (primal, dual, gap)
+        return x, y, zl, zu, iters, status, (primal, dual, gap), events
 
     best = None  # (merit, x, y, zl, zu, residual triple)
     stalled = 0
@@ -343,7 +583,7 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0=None, accept_tol=None):
         else:
             stalled += 1
         if merit <= tol:
-            return x, y, zl, zu, it - 1, QpStatus.OPTIMAL, (primal, dual, gap)
+            return x, y, zl, zu, it - 1, QpStatus.OPTIMAL, (primal, dual, gap), events
         if stalled >= 15:
             break
 
@@ -358,7 +598,7 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0=None, accept_tol=None):
         diag = np.zeros(n)
         diag[jl] += np.minimum(zl / sl, 1e16)
         diag[ju] += np.minimum(zu / su, 1e16)
-        kkt = _Kkt(P, diag, A)
+        kkt = _Kkt(P, diag, A, events, structure)
 
         # predictor (affine scaling) direction
         rhs_aff = np.concatenate([-(P @ x + q + (A.T @ y if me else 0.0)), -rp])
@@ -407,7 +647,7 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0=None, accept_tol=None):
     if best is not None and best[0] < merit:
         merit, x, y, zl, zu, (primal, dual, gap) = best
     status = QpStatus.OPTIMAL if merit <= accept_tol else QpStatus.MAX_ITERATIONS
-    return x, y, zl, zu, iters, status, (primal, dual, gap)
+    return x, y, zl, zu, iters, status, (primal, dual, gap), events
 
 
 def _equilibrate(P, q, A, b, lo, hi):
@@ -480,6 +720,20 @@ def _lift_program(prob: QuadProgram):
     return P_l, q_l, A_l, b, lo_l, hi_l, idx_l1
 
 
+def _unlift(x, n, idx_l1):
+    """Original variables from lifted ones: each l1 variable is its positive minus negative part."""
+    z = x[:n].copy()
+    z[idx_l1] -= x[n:]
+    return z
+
+
+def _lstsq_pinv(a):
+    """Pseudo-inverse from one SVD, with ``numpy.linalg.lstsq``'s default rank cut-off."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(a.shape) * s[0]
+    return (vt[keep].T / s[keep]) @ u[:, keep].T
+
+
 def solve(
     prob: QuadProgram,
     tol: float = 1e-9,
@@ -507,11 +761,23 @@ def solve(
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
     n = prob.n_vars
+    x0_arr = None
+    if x0 is not None:
+        x0_arr = np.asarray(x0, dtype=float).ravel()
+        if x0_arr.size != n:
+            raise ValueError("x0 has wrong length")
 
-    if prob.a_eq.shape[0]:
-        z_ls, *_ = np.linalg.lstsq(prob.a_eq, prob.b_eq, rcond=None)
-        res = float(np.max(np.abs(prob.a_eq @ z_ls - prob.b_eq)))
-        if res > _FEAS_TOL * (1.0 + float(np.max(np.abs(prob.b_eq)))):
+    P, q, A, b, lo, hi, idx_l1 = _lift_program(prob)
+    P, q, A, b, lo, hi, d_scale, _r_scale = _equilibrate(P, q, A, b, lo, hi)
+    a_pinv = None
+    x_start = np.zeros(q.size)
+    if A.shape[0]:
+        # one SVD serves the feasibility test and both least-squares starts
+        a_pinv = _lstsq_pinv(A)
+        x_start = a_pinv @ b
+        z_ls = _unlift(d_scale * x_start, n, idx_l1)
+        res = float(np.max(np.abs(prob.a_eq @ z_ls - prob.b_eq), initial=0.0))
+        if res > _FEAS_TOL * (1.0 + float(np.max(np.abs(prob.b_eq), initial=0.0))):
             z = np.clip(z_ls, prob.lower, prob.upper)
             return QpSolution(
                 z=z,
@@ -522,31 +788,22 @@ def solve(
                 iterations=0,
                 status=QpStatus.INFEASIBLE,
             )
-
-    P, q, A, b, lo, hi, idx_l1 = _lift_program(prob)
-    P, q, A, b, lo, hi, d_scale, _r_scale = _equilibrate(P, q, A, b, lo, hi)
-    x0_l = None
-    if x0 is not None:
-        x0_arr = np.asarray(x0, dtype=float).ravel()
-        if x0_arr.size != n:
-            raise ValueError("x0 has wrong length")
+    if x0_arr is not None:
         if idx_l1.size:
             pos = np.maximum(x0_arr[idx_l1], 0.0)
             neg = np.maximum(-x0_arr[idx_l1], 0.0)
-            x0_l = np.concatenate([x0_arr, neg])
-            x0_l[idx_l1] = pos
+            x_start = np.concatenate([x0_arr, neg])
+            x_start[idx_l1] = pos
         else:
-            x0_l = x0_arr.copy()
-        x0_l = x0_l / d_scale
+            x_start = x0_arr.copy()
+        x_start = x_start / d_scale
 
-    x, y, zl, zu, iters, status, (primal, dual, gap) = _ipm(
-        P, q, A, b, lo, hi, tol, max_iter, x0_l, accept_tol
+    x, y, zl, zu, iters, status, (primal, dual, gap), events = _ipm(
+        P, q, A, b, lo, hi, tol, max_iter, x_start, a_pinv,
+        _Structure.of(P, A, idx_l1), accept_tol,
     )
 
-    x_orig = d_scale * x
-    z = x_orig[:n].copy()
-    if idx_l1.size:
-        z[idx_l1] -= x_orig[n:]
+    z = _unlift(d_scale * x, n, idx_l1)
     cert = {
         "x": x, "y": y, "zl": zl, "zu": zu,
         "P": P, "q": q, "A": A, "b": b, "lo": lo, "hi": hi,
@@ -561,6 +818,7 @@ def solve(
         gap=gap,
         iterations=iters,
         status=status,
+        events=events,
         _cert=cert,
     )
 
@@ -608,7 +866,6 @@ class ReducedQp:
     u_slice: slice
     y_slice: slice | None
     yf: np.ndarray
-    objective_const: float
 
     def split(self, z):
         z = np.asarray(z, dtype=float).ravel()
@@ -679,7 +936,6 @@ def assemble_reduced(
 
     p_mat = np.zeros((n_z, n_z))
     q_vec = np.zeros(n_z)
-    const = float(y_ref @ q_bar @ y_ref)
     if bound_y:
         p_mat[off_y:, off_y:] = 2.0 * q_bar
         q_vec[off_y:] = -2.0 * (q_bar @ y_ref)
@@ -754,7 +1010,6 @@ def assemble_reduced(
         u_slice=slice(off_u, off_u + n_u),
         y_slice=slice(off_y, n_z) if bound_y else None,
         yf=yf,
-        objective_const=const,
     )
 
 

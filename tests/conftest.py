@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from deepckit.plants import LinearPlant
+# Pin BLAS to one thread before numpy loads it.  The suite's matrices are
+# small, and a threaded BLAS runs them several times slower on a machine with
+# few cores.  A value already set in the environment still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from deepckit.plants import LinearPlant  # noqa: E402
 
 
 @pytest.fixture(scope="session")

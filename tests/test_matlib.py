@@ -1,3 +1,7 @@
+import ctypes
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -239,3 +243,35 @@ class TestProjectRows:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             matlib.project_rows(np.ones((2, 3)), np.ones((2, 4)))
+
+
+class TestBlasThreads:
+    def test_openblas_pinned_by_conftest(self):
+        # conftest.py sets OPENBLAS_NUM_THREADS (default 1) before numpy loads
+        # OpenBLAS; ask every loaded OpenBLAS how many threads it runs
+        maps = Path("/proc/self/maps")
+        if not maps.exists():
+            pytest.skip("needs /proc/self/maps to find the loaded BLAS")
+        libs = {
+            line.split()[-1]
+            for line in maps.read_text(errors="replace").splitlines()
+            if "openblas" in line.lower() and ".so" in line
+        }
+        if not libs:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        threads = {}
+        for path in sorted(libs):
+            lib = ctypes.CDLL(path)
+            for symbol in (
+                "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                "openblas_get_num_threads64_", "openblas_get_num_threads",
+            ):
+                fn = getattr(lib, symbol, None)
+                if fn is not None:
+                    fn.argtypes = []
+                    fn.restype = ctypes.c_int
+                    threads[Path(path).name] = fn()
+                    break
+        assert threads, f"no thread-count symbol in {sorted(libs)}"
+        expected = int(os.environ["OPENBLAS_NUM_THREADS"])
+        assert set(threads.values()) == {expected}, threads

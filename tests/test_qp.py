@@ -235,6 +235,123 @@ class TestFactorizationCount:
         assert len(lu_calls) == 1
 
 
+@pytest.fixture
+def lu_sizes(monkeypatch):
+    """Orders of the matrices passed to scipy.linalg.lu_factor."""
+    sizes = []
+    original = scipy.linalg.lu_factor
+
+    def spy(*args, **kwargs):
+        sizes.append(args[0].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+    return sizes
+
+
+def deepc_shaped_program(rng, *, l1=True, rows=True, diagonal_r=True,
+                         curved_slack=True, shared_row=False):
+    """A QP shaped like the DeePC template: 12 dense g (l1-weighted), 3 slacks
+    s and 4 boxed inputs u, with rows U_P g = ., Y_P g - s = ., U_F g - u = ."""
+    n_g, n_s, n_u, n_p = 12, 3, 4, 2
+    n = n_g + n_s + n_u
+    p_mat = np.zeros((n, n))
+    l_fac = rng.standard_normal((n_g, n_g))
+    p_mat[:n_g, :n_g] = 0.1 * l_fac @ l_fac.T
+    if curved_slack:
+        p_mat[n_g:n_g + n_s, n_g:n_g + n_s] = np.diag(rng.uniform(0.5, 2.0, n_s))
+    if diagonal_r:
+        p_mat[n_g + n_s:, n_g + n_s:] = np.diag(rng.uniform(0.1, 1.0, n_u))
+    else:
+        l_fac = rng.standard_normal((n_u, n_u))
+        p_mat[n_g + n_s:, n_g + n_s:] = l_fac @ l_fac.T + 0.1 * np.eye(n_u)
+    a_eq = np.zeros((n_p + n_s + n_u, n))
+    a_eq[:, :n_g] = rng.standard_normal((a_eq.shape[0], n_g))
+    a_eq[n_p:n_p + n_s, n_g:n_g + n_s] = -np.eye(n_s)
+    a_eq[n_p + n_s:, n_g + n_s:] = -np.eye(n_u)
+    if shared_row:  # the second slack moves into the first slack's row
+        a_eq[n_p + 1, n_g + 1] = 0.0
+        a_eq[n_p, n_g + 1] = -0.5
+    lo = np.r_[np.full(n_g + n_s, -np.inf), np.full(n_u, -1.0)]
+    return qp.QuadProgram(
+        p_mat=p_mat, q_vec=rng.standard_normal(n),
+        l1_weights=np.r_[np.full(n_g, 0.3), np.zeros(n_s + n_u)] if l1 else None,
+        a_eq=a_eq if rows else None,
+        b_eq=rng.standard_normal(a_eq.shape[0]) if rows else None,
+        lower=lo, upper=-lo,
+    )
+
+
+class TestReducedStep:
+    """The structured Newton step against the LU of the full lifted KKT matrix."""
+
+    # keyword arguments of deepc_shaped_program, and the order of the reduced
+    # matrix: the 12 folded g, plus kept variables and kept rows
+    CASES = {
+        "deepc": ({}, 12 + 2),
+        "no equality rows": (dict(rows=False), 12 + 3 + 4),
+        "no l1 term": (dict(l1=False), 12 + 2),
+        "non-diagonal R": (dict(diagonal_r=False), 12 + 4 + 2 + 4),
+        "zero-curvature slack": (dict(curved_slack=False), 12 + 3 + 2 + 3),
+        "two separable in a row": (dict(shared_row=True), 12 + 2 + 1),
+    }
+
+    @pytest.mark.parametrize("d_max", [1e2, 1e8, 1e16])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_lu_step(self, lu_sizes, case, d_max):
+        kwargs, order = self.CASES[case]
+        rng = np.random.default_rng(list(self.CASES).index(case))
+        for _ in range(10):
+            P, q, A, b, lo, hi, idx_l1 = qp._lift_program(deepc_shaped_program(rng, **kwargs))
+            P, q, A, b, lo, hi, _d, _r = qp._equilibrate(P, q, A, b, lo, hi)
+            structure = qp._Structure.of(P, A, idx_l1)
+            assert structure is not None
+            # barrier diagonals on the bounded variables, log-uniform up to d_max
+            bounded = np.isfinite(lo).astype(float) + np.isfinite(hi)
+            diag = bounded * 10.0 ** rng.uniform(-4.0, np.log10(d_max), q.size)
+            rhs = rng.standard_normal(q.size + b.size)
+            events = qp._new_events()
+            lu_sizes.clear()
+            w_reduced = qp._Kkt(P, diag, A, events, structure).solve(rhs)
+            assert lu_sizes[0] == order
+            if d_max < 1e16:
+                assert events["reduced_step_fallbacks"] == 0
+            assert len(lu_sizes) == 1 + events["reduced_step_fallbacks"]
+            w_lu = qp._Kkt(P, diag, A, qp._new_events()).solve(rhs)
+            assert np.abs(w_reduced - w_lu).max() <= 1e-10 * np.abs(w_lu).max()
+
+
+class TestEvents:
+    def test_reduced_step_fallback_counted(self, lu_sizes):
+        # at tol 1e-11 the last iterates' barrier terms grow until one reduced
+        # step is no longer at roundoff; that iterate is re-solved with the
+        # LU of the full lifted KKT matrix (31 variables + 9 rows)
+        prob = deepc_shaped_program(np.random.default_rng(1))
+        sol = qp.solve(prob, tol=1e-11, max_iter=200, accept_tol=1e-9)
+        assert sol.status is qp.QpStatus.OPTIMAL
+        assert max(qp.kkt_residuals(sol)) <= 1e-9
+        assert sol.events == {"reduced_step_fallbacks": 1, "regularization_escalations": 0}
+        assert sorted(lu_sizes) == [14] * sol.iterations + [40]
+
+    def test_regularization_escalations_counted(self):
+        # P = 0 with a free variable: the KKT matrix is singular, and with a
+        # linear term this large the regularized solve overflows at the first
+        # level, so each solve escalates
+        with np.errstate(all="ignore"):
+            sol = qp.solve(qp.QuadProgram(p_mat=[[0.0]], q_vec=[1e292]))
+        assert sol.status is qp.QpStatus.MAX_ITERATIONS
+        assert sol.events["regularization_escalations"] == sol.iterations == 3
+        assert sol.events["reduced_step_fallbacks"] == 0
+
+    def test_infeasible_reports_no_events(self):
+        prob = qp.QuadProgram(
+            p_mat=np.eye(2), q_vec=np.zeros(2), a_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.0, 1.0]
+        )
+        sol = qp.solve(prob)
+        assert sol.status is qp.QpStatus.INFEASIBLE
+        assert sol.events == {"reduced_step_fallbacks": 0, "regularization_escalations": 0}
+
+
 class TestAssembleReduced:
     def _blocks(self, rng, n_c=12):
         up = rng.standard_normal((2, n_c))

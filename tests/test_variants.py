@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from deepckit import bench, qp
 from deepckit import variants as va
@@ -468,6 +469,55 @@ class TestStructuralInvariants:
         spec = replace(spec, y_box=(np.array([-0.4]), np.array([0.4])))
         sol = va.solve_hybrid(lib, online, spec)
         assert np.abs(sol.y_pred).max() <= 0.4 + 1e-7
+
+
+class TestStructuredNewtonStep:
+    """At paper scale an IPM iteration LU-factors only the reduced KKT matrix:
+    157 folded g (94 for svd-iter, which has no l1 term) plus the 8 U_P rows;
+    the slacks and inputs are eliminated with their Y_P and U_F rows."""
+
+    @pytest.fixture(scope="class")
+    def paper_trial(self):
+        cfg = bench.ExperimentConfig()
+        plant = bench._make_plant(cfg)
+        return cfg, plant, bench._make_spec(cfg, plant), bench._instance(cfg, plant, 0)
+
+    @pytest.mark.parametrize(
+        "name, order", [("hybrid", 165), ("svd", 165), ("ddspc", 165), ("svd-iter", 104)]
+    )
+    def test_reduced_kkt_order(self, paper_trial, monkeypatch, name, order):
+        cfg, plant, spec, instance = paper_trial
+        sizes = []
+        original = scipy.linalg.lu_factor
+
+        def spy(*args, **kwargs):
+            sizes.append(args[0].shape[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+        sol = bench._solve_variant(
+            name, plant, instance, spec, cfg, {}, tol=1e-9, max_iter=150, accept_tol=1e-6
+        ).solver
+        assert sol.status is qp.QpStatus.OPTIMAL
+        assert sizes.count(order) == sol.iterations > 0
+        assert len(sizes) - sol.iterations == sol.events["reduced_step_fallbacks"]
+        if name == "hybrid":
+            assert sol.events == {"reduced_step_fallbacks": 0, "regularization_escalations": 0}
+
+    def test_non_unique_coefficients(self):
+        # basic DeePC on noise-free data: hard equalities, no l1 and no ridge,
+        # so g is not unique and the reduced matrix is singular; its
+        # regularization must keep the steps bounded (unregularized, this
+        # solve stalls near 1e-9 and fails)
+        cfg = bench.ExperimentConfig(seed=8)
+        plant = bench._make_plant(cfg)
+        spec = replace(bench._make_spec(cfg, plant), lambda1=0.0, lambda2=0.0, lambda_y=1e14)
+        instance = bench._instance(cfg, plant, 0, noise_var=0.0)
+        sol = bench._solve_variant(
+            "basic", plant, instance, spec, cfg, {}, tol=1e-11, max_iter=200, accept_tol=1e-9
+        ).solver
+        assert sol.status is qp.QpStatus.OPTIMAL
+        assert max(qp.kkt_residuals(sol)) <= 1e-11
 
 
 class TestSolutionCsv:
