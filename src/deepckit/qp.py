@@ -7,17 +7,23 @@ Problems have the form
 
 with P symmetric positive semidefinite and w >= 0 elementwise.  The solver is
 a Mehrotra predictor-corrector primal-dual interior-point method.  Each
-iteration factors its Newton matrix once, and the predictor, the corrector
-and their refinement steps share that factorization.
+iteration evaluates its residuals once (the merit test, the dual residual and
+the predictor's right-hand side share P x, A'y and A x), and factors its
+Newton matrix once: the predictor, the corrector and their refinement steps
+share that factorization.  The lower and upper bounds are kept as one stacked
+vector of slacks and one of duals, so each step length and update is one
+vector operation.  An iterate is accepted as optimal only when its residuals
+and the solution are finite.
 
 The Newton step is solved in the program's own structure where it has one.
 Each l1 pair (see below) folds back into one variable, and a separable
-variable (its row of P is diagonal and it appears in exactly one equality row)
-is eliminated together with that row.  For the DeePC template this removes the
+variable (off the diagonal its row and column of P are zero, and it appears in
+exactly one equality row) is eliminated together with that row.  For the DeePC template this removes the
 slacks, the future inputs and their rows: at paper scale the iteration
 LU-factors a 165x165 matrix in place of the 506x506 KKT matrix.  Every reduced
 step is refined against the full KKT operator, applied as matrix-vector
-products, and is kept only when its componentwise backward error is at
+products with the dense block of the other variables plus the separable
+variables' diagonal entries and single coefficients, and is kept only when its componentwise backward error is at
 roundoff (1e-14).  Otherwise, and in programs without such structure, the step
 comes from an LU factorization of the dense KKT matrix.  Dense factorizations
 keep the solutions accurate enough to certify equivalence results to 1e-5 and
@@ -26,10 +32,13 @@ matrix and the times its regularization had to be raised.
 
 The l1 terms are handled exactly by splitting each weighted variable into a
 difference of nonnegative parts (z_i = a_i - b_i); at the optimum the split is
-complementary (a_i * b_i = O(tol)).  Infinite bounds are treated as absent
-constraints, never as large numbers.  One SVD of the scaled equality matrix
-gives the least-squares starting points, and its residual detects an
-inconsistent equality system up front, which is reported as Infeasible.
+complementary (a_i * b_i = O(tol)).  The two parts get the same scale, so P
+and A are equilibrated before they are lifted.  Infinite bounds are treated
+as absent constraints, never as large numbers.  One SVD of the scaled
+equality matrix, taken on the folded columns (the lifted matrix has the same
+singular values), gives the least-squares starting points, and its residual
+detects an inconsistent equality system up front, which is reported as
+Infeasible.
 
 Reported residuals are relative measures: `primal_residual` scales equality
 violations by 1 + |b| + |A z| per row, `dual_residual` scales stationarity by
@@ -40,6 +49,7 @@ divided by 1 + |objective|.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -183,39 +193,65 @@ def _push_interior(x, lo, hi):
     return x
 
 
-def _measure(P, q, A, b, lo, hi, jl, ju, x, y, zl, zu):
-    """Scaled primal/dual/complementarity residuals at an iterate."""
+class _Bounds:
+    """The finite bounds of a program stacked into one vector, lower bounds first.
+
+    Bound k acts on variable ``idx[k]`` with slack
+    s_k = sign_k * (x[idx[k]] - value_k) >= 0, where sign_k is +1 on a lower
+    and -1 on an upper bound.  Its dual z_k pairs with that slack, so the
+    barrier terms, step lengths and updates of both kinds of bound are one
+    vector operation each.
+    """
+
+    def __init__(self, lo, hi):
+        self.jl = np.flatnonzero(np.isfinite(lo))
+        self.ju = np.flatnonzero(np.isfinite(hi))
+        self.idx = np.concatenate([self.jl, self.ju])
+        self.sign = np.concatenate([np.ones(self.jl.size), -np.ones(self.ju.size)])
+        self.value = np.concatenate([lo[self.jl], hi[self.ju]])
+        self.scale = 1.0 + np.abs(self.value)
+        self.size = self.idx.size
+
+    def slack(self, x):
+        return self.sign * (x[self.idx] - self.value)
+
+    def add(self, v, t):
+        """v[idx] += t in place; a variable with both bounds gets both terms."""
+        nl = self.jl.size
+        v[self.jl] += t[:nl]
+        v[self.ju] += t[nl:]
+
+
+def _measure(P, q, A, b, bounds, x, y, z):
+    """Scaled primal/dual/complementarity residuals at an iterate.
+
+    Also returns the vectors they are built from, which the Newton step
+    reuses: the gradient P x + q + A'y, the dual residual (that gradient less
+    the bound duals), the equality residual A x - b and the bound slacks.
+    """
     px = P @ x
     aty = A.T @ y if A.shape[0] else np.zeros_like(x)
-    rd = px + q + aty
-    rd[jl] -= zl
-    rd[ju] += zu
+    grad = px + q + aty
+    rd = grad.copy()
+    bounds.add(rd, -(bounds.sign * z))
     sd = 1.0 + np.abs(q) + np.abs(px) + np.abs(aty)
-    sd[jl] += zl
-    sd[ju] += zu
+    bounds.add(sd, z)
     dual = float(np.max(np.abs(rd) / sd)) if rd.size else 0.0
-    if A.shape[0]:
-        ax = A @ x
-        rp = ax - b
-        sp = 1.0 + np.abs(b) + np.abs(ax)
-        primal = float(np.max(np.abs(rp) / sp))
-    else:
-        primal = 0.0
+    ax = A @ x
+    rp = ax - b
+    primal = float(np.max(np.abs(rp) / (1.0 + np.abs(b) + np.abs(ax)))) if rp.size else 0.0
+    slack = bounds.slack(x)
     # box violation (zero while the iterate stays interior)
-    viol = 0.0
-    if jl.size:
-        viol = max(viol, float(np.max((lo[jl] - x[jl]) / (1.0 + np.abs(lo[jl])))))
-    if ju.size:
-        viol = max(viol, float(np.max((x[ju] - hi[ju]) / (1.0 + np.abs(hi[ju])))))
+    viol = float(np.max(-slack / bounds.scale)) if slack.size else 0.0
     primal = max(primal, viol, 0.0)
     obj = 0.5 * x @ px + q @ x
-    comp = 0.0
-    if jl.size:
-        comp += float(np.sum((x[jl] - lo[jl]) * zl))
-    if ju.size:
-        comp += float(np.sum((hi[ju] - x[ju]) * zu))
-    gap = abs(comp) / (1.0 + abs(obj))
-    return primal, dual, gap
+    gap = abs(float(slack @ z)) / (1.0 + abs(obj))
+    return (primal, dual, gap), (grad, rd, rp, slack)
+
+
+def _merit(residuals):
+    """The largest residual, or inf when one is not finite (max() would drop a NaN)."""
+    return max(residuals) if all(map(math.isfinite, residuals)) else math.inf
 
 
 # Static KKT regularization: variable i's diagonal gets +_SHIFT * (1 + |P_ii| +
@@ -238,9 +274,9 @@ class _Structure:
       negative part of variable ``pos[j]``, so the lifted matrices are
       P = E P_f E' and A = A_f E' with E' x = x[:n] - (x[n:] placed at
       ``pos``).  A pair folds into the one variable E' x.
-    * Separable variables: folded variables whose row of P_f is diagonal and
-      that appear in exactly one equality row.  Each is eliminated together
-      with its row.
+    * Separable variables: folded variables whose row and column of P_f are
+      zero off the diagonal and that appear in exactly one equality row.  Each
+      is eliminated together with its row.
 
     :meth:`of` returns None when the program has neither, so that its steps
     go straight to the full LU.
@@ -253,16 +289,29 @@ class _Structure:
         self.neg = n + np.arange(idx_l1.size)
         self.p_fold = P[:n, :n]
         self.a_fold = A[:, :n]
-        self.abs_p = np.abs(self.p_fold)
-        self.abs_a = np.abs(self.a_fold)
         diag = np.diag(self.p_fold)
-        off_diagonal = np.count_nonzero(self.p_fold, axis=1) - (diag != 0)
+        # off the diagonal, a separable variable's row and column of P_f are
+        # zero (the scaled P_f need not be bitwise symmetric)
+        off_diagonal = (
+            np.count_nonzero(self.p_fold, axis=1) + np.count_nonzero(self.p_fold, axis=0)
+            - 2 * (diag != 0)
+        )
         self.sep = np.flatnonzero(
             (off_diagonal == 0) & (np.count_nonzero(self.a_fold, axis=0) == 1)
         )
         self.sep_row = np.nonzero(self.a_fold[:, self.sep].T)[1]  # one nonzero each
         self.sep_coef = self.a_fold[self.sep_row, self.sep]
         self.sep_curv = diag[self.sep]
+        # K w in two parts: the dense block of the other folded variables, and
+        # the separable variables' diagonal entries and single coefficients
+        self.dense = np.setdiff1d(np.arange(n), self.sep, assume_unique=True)
+        p_dense = self.p_fold[np.ix_(self.dense, self.dense)]
+        a_dense = self.a_fold[:, self.dense]
+        self._blocks = {
+            False: (p_dense, a_dense, self.sep_curv, self.sep_coef, -1.0),
+            True: (np.abs(p_dense), np.abs(a_dense), np.abs(self.sep_curv),
+                   np.abs(self.sep_coef), 1.0),
+        }
         self._partitions = {}
 
     @classmethod
@@ -291,14 +340,18 @@ class _Structure:
         """K w for the lifted KKT matrix with barrier diagonal ``diag_term``
         and w = (dx, dy); with ``absolute``, |K| w instead."""
         n = self.n
-        p, a, sign = (self.abs_p, self.abs_a, 1.0) if absolute else (self.p_fold, self.a_fold, -1.0)
+        p, a, p_sep, a_sep, sign = self._blocks[absolute]
         v = dx[:n].copy()
         v[self.pos] += sign * dx[self.neg]
-        top_fold = p @ v + a.T @ dy
+        v_dense, v_sep = v[self.dense], v[self.sep]
+        top_fold = np.empty(n)
+        top_fold[self.dense] = p @ v_dense + a.T @ dy
+        top_fold[self.sep] = p_sep * v_sep + a_sep * dy[self.sep_row]
+        eq = a @ v_dense + np.bincount(self.sep_row, a_sep * v_sep, minlength=self.me)
         top = diag_term * dx
         top[:n] += top_fold
         top[n:] += sign * top_fold[self.pos]
-        return np.concatenate([top, a @ v])
+        return np.concatenate([top, eq])
 
 
 class _ReducedStep:
@@ -509,42 +562,43 @@ def _safe_div(num, den):
     """Elementwise division guarded against pinned (zero) slacks."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = num / den
-    return np.nan_to_num(out, nan=0.0, posinf=1e140, neginf=-1e140)
+    return np.nan_to_num(out, copy=False, nan=0.0, posinf=1e140, neginf=-1e140)
 
 
 def _max_step(v, dv):
     """Largest alpha with v + alpha*dv >= 0 (v > 0 componentwise)."""
     neg = dv < 0.0
-    if not np.any(neg):
+    if not neg.any():
         return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+    return float((-v[neg] / dv[neg]).min())
 
 
-def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0, a_pinv, structure, accept_tol=None):
+def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0, lsq, structure, accept_tol=None):
     """Mehrotra predictor-corrector for box- and equality-constrained QPs.
 
-    Starts from ``x0``; ``a_pinv`` is the pseudo-inverse of ``A`` (None when
-    there are no equalities) and ``structure`` the program's
+    Starts from ``x0``; ``lsq`` is the equality matrix's :class:`_LeastSquares`
+    (None when there are no equalities) and ``structure`` the program's
     :class:`_Structure` (or None).  Iterates toward ``tol``; if progress
     stalls first (conditioning floor), the best iterate seen is returned and
-    judged against ``accept_tol``.  Also returns the solver's event counts.
+    judged against ``accept_tol``.  Returns the iterate with the stacked bound
+    duals, the iteration count, the status, the residuals and the solver's
+    event counts.
     """
     accept_tol = tol if accept_tol is None else max(tol, accept_tol)
     n = q.size
     me = A.shape[0]
-    jl = np.flatnonzero(np.isfinite(lo))
-    ju = np.flatnonzero(np.isfinite(hi))
-    nb = jl.size + ju.size
+    bounds = _Bounds(lo, hi)
+    nb = bounds.size
     events = _new_events()
 
     x = _push_interior(x0, lo, hi)
     # dual start near the least-squares stationary point; bound duals pick up
     # the scale of the gradient so l1-split weights do not derail early steps
     grad = P @ x + q
-    y = a_pinv.T @ -grad if me else np.zeros(0)
+    y = lsq.solve_transpose(-grad) if me else np.zeros(0)
     resid = grad + (A.T @ y if me else 0.0)
-    zl = np.maximum(1.0, resid[jl])
-    zu = np.maximum(1.0, -resid[ju])
+    z = np.maximum(1.0, bounds.sign * resid[bounds.idx])
+    residuals, (grad, rd, rp, slack) = _measure(P, q, A, b, bounds, x, y, z)
 
     if nb == 0:
         # Equality-constrained QP: Newton is exact, polish a few times.
@@ -552,116 +606,96 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0, a_pinv, structure, accept_tol=No
         iters = 0
         for _ in range(3):
             iters += 1
-            rd = P @ x + q + (A.T @ y if me else 0.0)
-            rp = A @ x - b if me else np.zeros(0)
-            w = kkt.solve(np.concatenate([-rd, -rp]))
+            try:
+                w = kkt.solve(np.concatenate([-rd, -rp]))
+            except np.linalg.LinAlgError:
+                break
             x = x + w[:n]
             y = y + w[n:]
-            primal, dual, gap = _measure(P, q, A, b, lo, hi, jl, ju, x, y, zl, zu)
-            if max(primal, dual, gap) <= tol:
+            residuals, (_, rd, rp, _) = _measure(P, q, A, b, bounds, x, y, z)
+            if _merit(residuals) <= tol:
                 break
-        status = (
-            QpStatus.OPTIMAL
-            if max(primal, dual, gap) <= accept_tol
-            else QpStatus.MAX_ITERATIONS
-        )
-        return x, y, zl, zu, iters, status, (primal, dual, gap), events
+        status = QpStatus.OPTIMAL if _merit(residuals) <= accept_tol else QpStatus.MAX_ITERATIONS
+        return x, y, z, iters, status, residuals, events
 
-    best = None  # (merit, x, y, zl, zu, residual triple)
+    best = None  # (merit, x, y, z, residuals); iterates are never updated in place
     stalled = 0
-    primal = dual = gap = np.inf
-    iters = 0
-    for it in range(1, max_iter + 1):
-        iters = it
-        sl = np.maximum(x[jl] - lo[jl], 1e-250)
-        su = np.maximum(hi[ju] - x[ju], 1e-250)
-        primal, dual, gap = _measure(P, q, A, b, lo, hi, jl, ju, x, y, zl, zu)
-        merit = max(primal, dual, gap)
+    for it in range(1, max_iter + 2):
+        merit = _merit(residuals)
         if best is None or merit < best[0]:
-            best = (merit, x.copy(), y.copy(), zl.copy(), zu.copy(), (primal, dual, gap))
+            best = (merit, x, y, z, residuals)
             stalled = 0
         else:
             stalled += 1
         if merit <= tol:
-            return x, y, zl, zu, it - 1, QpStatus.OPTIMAL, (primal, dual, gap), events
-        if stalled >= 15:
+            return x, y, z, it - 1, QpStatus.OPTIMAL, residuals, events
+        if stalled >= 15 or it > max_iter:
             break
 
-        rd = P @ x + q + (A.T @ y if me else 0.0)
-        rd[jl] -= zl
-        rd[ju] += zu
-        rp = A @ x - b if me else np.zeros(0)
-        mu = (float(sl @ zl) + float(su @ zu)) / nb
-
+        s = np.maximum(slack, 1e-250)
+        mu = float(s @ z) / nb
         # cap the barrier ratios so pinned slacks cannot overflow the KKT
-        # (jl and ju are each free of duplicates, so indexed += is a scatter-add)
         diag = np.zeros(n)
-        diag[jl] += np.minimum(zl / sl, 1e16)
-        diag[ju] += np.minimum(zu / su, 1e16)
+        bounds.add(diag, np.minimum(z / s, 1e16))
         kkt = _Kkt(P, diag, A, events, structure)
 
-        # predictor (affine scaling) direction
-        rhs_aff = np.concatenate([-(P @ x + q + (A.T @ y if me else 0.0)), -rp])
+        # predictor (affine scaling) direction; ds is the bound slacks' step
         try:
-            w_aff = kkt.solve(rhs_aff)
+            w = kkt.solve(np.concatenate([-grad, -rp]))
         except np.linalg.LinAlgError:
             break
-        dx_a = w_aff[:n]
-        dzl_a = _safe_div(-sl * zl - zl * dx_a[jl], sl)
-        dzu_a = _safe_div(-su * zu + zu * dx_a[ju], su)
-        ap_a = min(1.0, _max_step(sl, dx_a[jl]), _max_step(su, -dx_a[ju]))
-        ad_a = min(1.0, _max_step(zl, dzl_a), _max_step(zu, dzu_a))
-        mu_aff = (
-            float((sl + ap_a * dx_a[jl]) @ (zl + ad_a * dzl_a))
-            + float((su - ap_a * dx_a[ju]) @ (zu + ad_a * dzu_a))
-        ) / nb
-        sigma = min(1.0, max(0.0, mu_aff / mu) ** 3) if mu > 0 else 0.0
+        ds = bounds.sign * w[bounds.idx]
+        dz = _safe_div(-s * z - z * ds, s)
+        ap = min(1.0, _max_step(s, ds))
+        ad = min(1.0, _max_step(z, dz))
+        mu_aff = float((s + ap * ds) @ (z + ad * dz)) / nb
+        # the ratio is clamped before cubing: a Python float overflow raises
+        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.0
 
         # corrector
-        r_l = sigma * mu - sl * zl - dx_a[jl] * dzl_a
-        r_u = sigma * mu - su * zu - (-dx_a[ju]) * dzu_a
+        r = sigma * mu - s * z - ds * dz
         rhs_x = -rd
-        rhs_x[jl] += _safe_div(r_l, sl)
-        rhs_x[ju] -= _safe_div(r_u, su)
+        bounds.add(rhs_x, bounds.sign * _safe_div(r, s))
         try:
             w = kkt.solve(np.concatenate([rhs_x, -rp]))
         except np.linalg.LinAlgError:
             break
-        dx = w[:n]
-        dy = w[n:]
-        dzl = _safe_div(r_l - zl * dx[jl], sl)
-        dzu = _safe_div(r_u + zu * dx[ju], su)
+        ds = bounds.sign * w[bounds.idx]
+        dz = _safe_div(r - z * ds, s)
 
         eta = max(0.995, 1.0 - 0.1 * mu)
-        alpha_p = min(1.0, eta * min(_max_step(sl, dx[jl]), _max_step(su, -dx[ju])))
-        alpha_d = min(1.0, eta * min(_max_step(zl, dzl), _max_step(zu, dzu)))
+        alpha_p = min(1.0, eta * _max_step(s, ds))
+        alpha_d = min(1.0, eta * _max_step(z, dz))
         if min(alpha_p, alpha_d) < 1e-12:
             break
-        x = x + alpha_p * dx
-        y = y + alpha_d * dy
-        zl = np.maximum(zl + alpha_d * dzl, 1e-300)
-        zu = np.maximum(zu + alpha_d * dzu, 1e-300)
+        x = x + alpha_p * w[:n]
+        y = y + alpha_d * w[n:]
+        z = np.maximum(z + alpha_d * dz, 1e-300)
+        residuals, (grad, rd, rp, slack) = _measure(P, q, A, b, bounds, x, y, z)
 
-    primal, dual, gap = _measure(P, q, A, b, lo, hi, jl, ju, x, y, zl, zu)
-    merit = max(primal, dual, gap)
-    if best is not None and best[0] < merit:
-        merit, x, y, zl, zu, (primal, dual, gap) = best
+    merit, x, y, z, residuals = best
     status = QpStatus.OPTIMAL if merit <= accept_tol else QpStatus.MAX_ITERATIONS
-    return x, y, zl, zu, iters, status, (primal, dual, gap), events
+    return x, y, z, min(it, max_iter), status, residuals, events
 
 
-def _equilibrate(P, q, A, b, lo, hi):
+def _equilibrate(P, q, A, b, lo, hi, idx_l1):
     """Diagonal variable/row scaling so column magnitudes are comparable.
 
-    Returns the scaled system plus the column scale d (z = d * x_scaled); the
-    transformation is exact, so the solution is mapped back without loss.
+    Takes the program as :func:`_lift_program` returns it: P and A over the
+    original variables, q, lo and hi lifted.  The two parts of an l1 variable
+    have the same diagonal in P and the same column norms in A, so they get
+    the same scale; P and A are scaled before :func:`_lift_matrices` lifts
+    them, which gives bit for bit the scaled lifted matrices.  The lifted
+    vectors are scaled as they are ((q + w) d is not q d + w d in floating
+    point).  Returns the scaled lifted system plus the column scale d
+    (z = d * x_scaled) and the row scale r; the transformation is exact, so
+    the solution is mapped back without loss.
     """
     base = np.sqrt(np.abs(np.diag(P)))
     alt = np.abs(A).max(axis=0) if A.shape[0] else np.zeros_like(base)
     ref = max(float(base.max(initial=0.0)), float(alt.max(initial=0.0)), 1.0)
     d = 1.0 / np.maximum(np.maximum(base, alt), 1e-6 * ref)
     P_s = (d[:, None] * P) * d[None, :]
-    q_s = d * q
     if A.shape[0]:
         A_s = A * d[None, :]
         r = 1.0 / np.maximum(np.abs(A_s).max(axis=1), 1e-12)
@@ -669,20 +703,22 @@ def _equilibrate(P, q, A, b, lo, hi):
         b_s = r * b
     else:
         A_s, b_s, r = A, b, np.zeros(0)
-    lo_s = lo / d
-    hi_s = hi / d
-    return P_s, q_s, A_s, b_s, lo_s, hi_s, d, r
+    P_s, A_s = _lift_matrices(P_s, A_s, idx_l1)
+    d = np.concatenate([d, d[idx_l1]])
+    return P_s, d * q, A_s, b_s, lo / d, hi / d, d, r
 
 
 def _lift_program(prob: QuadProgram):
     """Lower fixed variables and l1 terms to the smooth box/equality form.
 
-    Returns (P, q, A, b, lo, hi, idx_l1) where the lifted variable vector is
-    the original one followed by the negative parts of the l1 variables.
+    Variables pinned by equal bounds become equality rows.  Each l1-weighted
+    variable is split into a positive part, which keeps its index, and a
+    negative part appended after the original variables.  Returns
+    (P, q, A, b, lo, hi, idx_l1) with q, lo and hi over the lifted variables;
+    P and A stay over the original ones: :func:`_equilibrate` scales them,
+    then lifts them.
     """
     n = prob.n_vars
-    P = prob.p_mat
-    q = prob.q_vec
     A = prob.a_eq
     b = prob.b_eq
     lo = prob.lower.copy()
@@ -699,25 +735,33 @@ def _lift_program(prob: QuadProgram):
         hi[fixed] = np.inf
 
     idx_l1 = np.flatnonzero(prob.l1_weights > 0.0)
+    q = prob.q_vec
+    if idx_l1.size:
+        if np.any(np.isfinite(lo[idx_l1])) or np.any(np.isfinite(hi[idx_l1])):
+            raise ValueError("l1-weighted variables must be unbounded")
+        k = idx_l1.size
+        w = prob.l1_weights[idx_l1]
+        # z = x[:n] with x[idx_l1] reinterpreted as the positive parts, extras negative
+        q = np.concatenate([q, -q[idx_l1] + w])
+        q[idx_l1] += w
+        lo = np.concatenate([lo, np.zeros(k)])
+        lo[idx_l1] = 0.0
+        hi = np.concatenate([hi, np.full(k, np.inf)])
+    return prob.p_mat, q, A, b, lo, hi, idx_l1
+
+
+def _lift_matrices(P, A, idx_l1):
+    """P and A over the lifted variables: the negative part of an l1 variable
+    enters with the negated column (and row) of its positive part."""
     if idx_l1.size == 0:
-        return P, q, A, b, lo, hi, idx_l1
-    if np.any(np.isfinite(lo[idx_l1])) or np.any(np.isfinite(hi[idx_l1])):
-        raise ValueError("l1-weighted variables must be unbounded")
-    k = idx_l1.size
-    w = prob.l1_weights[idx_l1]
-    # z = x[:n] with x[idx_l1] reinterpreted as the positive parts, extras negative
-    P_l = np.zeros((n + k, n + k))
+        return P, A
+    n, k = P.shape[0], idx_l1.size
+    P_l = np.empty((n + k, n + k))
     P_l[:n, :n] = P
     P_l[:n, n:] = -P[:, idx_l1]
     P_l[n:, :n] = -P[idx_l1, :]
     P_l[n:, n:] = P[np.ix_(idx_l1, idx_l1)]
-    q_l = np.concatenate([q, -q[idx_l1] + w])
-    q_l[idx_l1] += w
-    A_l = np.hstack([A, -A[:, idx_l1]]) if A.shape[0] else np.zeros((0, n + k))
-    lo_l = np.concatenate([lo, np.zeros(k)])
-    lo_l[idx_l1] = 0.0
-    hi_l = np.concatenate([hi, np.full(k, np.inf)])
-    return P_l, q_l, A_l, b, lo_l, hi_l, idx_l1
+    return P_l, np.hstack([A, -A[:, idx_l1]])
 
 
 def _unlift(x, n, idx_l1):
@@ -727,11 +771,37 @@ def _unlift(x, n, idx_l1):
     return z
 
 
-def _lstsq_pinv(a):
-    """Pseudo-inverse from one SVD, with ``numpy.linalg.lstsq``'s default rank cut-off."""
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(a.shape) * s[0]
-    return (vt[keep].T / s[keep]) @ u[:, keep].T
+class _LeastSquares:
+    """Minimum-norm least-squares solves with the lifted, scaled equality matrix.
+
+    The lifted matrix is A = B E, with B over the original variables and
+    E x = x[:n] - (x[n:] placed at ``pos``).  With h = 1, or sqrt(2) on an l1
+    variable, the rows of h^-1 E are orthonormal, so A = (B h)(h^-1 E) has the
+    singular values of B h and A^+ = E' h^-1 (B h)^+.  One SVD of B h, which
+    has n columns and not n + k, serves every solve, with
+    ``numpy.linalg.lstsq``'s default rank cut-off for A's shape.
+    """
+
+    def __init__(self, B, pos):
+        n = B.shape[1]
+        h = np.ones(n)
+        h[pos] = np.sqrt(2.0)
+        u, s, vt = np.linalg.svd(B * h, full_matrices=False)
+        keep = s > np.finfo(float).eps * max(B.shape[0], n + pos.size) * s[0]
+        self.pos = pos
+        self.u, self.s, self.vt = u[:, keep], s[keep], vt[keep] / h
+
+    def solve(self, rhs):
+        """A^+ rhs, over the lifted variables."""
+        v = ((rhs @ self.u) / self.s) @ self.vt
+        return np.concatenate([v, -v[self.pos]])
+
+    def solve_transpose(self, g):
+        """(A^+)' g, for g over the lifted variables."""
+        n = self.vt.shape[1]
+        g_fold = g[:n].copy()
+        g_fold[self.pos] -= g[n:]
+        return self.u @ ((self.vt @ g_fold) / self.s)
 
 
 def solve(
@@ -768,13 +838,13 @@ def solve(
             raise ValueError("x0 has wrong length")
 
     P, q, A, b, lo, hi, idx_l1 = _lift_program(prob)
-    P, q, A, b, lo, hi, d_scale, _r_scale = _equilibrate(P, q, A, b, lo, hi)
-    a_pinv = None
+    P, q, A, b, lo, hi, d_scale, _r_scale = _equilibrate(P, q, A, b, lo, hi, idx_l1)
+    lsq = None
     x_start = np.zeros(q.size)
     if A.shape[0]:
         # one SVD serves the feasibility test and both least-squares starts
-        a_pinv = _lstsq_pinv(A)
-        x_start = a_pinv @ b
+        lsq = _LeastSquares(A[:, :n], idx_l1)
+        x_start = lsq.solve(b)
         z_ls = _unlift(d_scale * x_start, n, idx_l1)
         res = float(np.max(np.abs(prob.a_eq @ z_ls - prob.b_eq), initial=0.0))
         if res > _FEAS_TOL * (1.0 + float(np.max(np.abs(prob.b_eq), initial=0.0))):
@@ -798,16 +868,18 @@ def solve(
             x_start = x0_arr.copy()
         x_start = x_start / d_scale
 
-    x, y, zl, zu, iters, status, (primal, dual, gap), events = _ipm(
-        P, q, A, b, lo, hi, tol, max_iter, x_start, a_pinv,
+    x, y, zb, iters, status, (primal, dual, gap), events = _ipm(
+        P, q, A, b, lo, hi, tol, max_iter, x_start, lsq,
         _Structure.of(P, A, idx_l1), accept_tol,
     )
 
     z = _unlift(d_scale * x, n, idx_l1)
+    if status is QpStatus.OPTIMAL and not np.isfinite(z).all():
+        status = QpStatus.MAX_ITERATIONS
+    n_lower = np.count_nonzero(np.isfinite(lo))
     cert = {
-        "x": x, "y": y, "zl": zl, "zu": zu,
+        "x": x, "y": y, "zl": zb[:n_lower], "zu": zb[n_lower:],
         "P": P, "q": q, "A": A, "b": b, "lo": lo, "hi": hi,
-        "jl": np.flatnonzero(np.isfinite(lo)), "ju": np.flatnonzero(np.isfinite(hi)),
         "idx_l1": idx_l1, "d_scale": d_scale,
     }
     return QpSolution(
@@ -829,9 +901,9 @@ def kkt_residuals(sol: QpSolution) -> tuple[float, float, float]:
     if c is None:
         raise ValueError("solution carries no certificate")
     return _measure(
-        c["P"], c["q"], c["A"], c["b"], c["lo"], c["hi"],
-        c["jl"], c["ju"], c["x"], c["y"], c["zl"], c["zu"],
-    )
+        c["P"], c["q"], c["A"], c["b"], _Bounds(c["lo"], c["hi"]),
+        c["x"], c["y"], np.concatenate([c["zl"], c["zu"]]),
+    )[0]
 
 
 def split_parts(sol: QpSolution) -> tuple[np.ndarray, np.ndarray]:

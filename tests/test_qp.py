@@ -1,8 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from deepckit import qp
 
@@ -303,7 +306,7 @@ class TestReducedStep:
         rng = np.random.default_rng(list(self.CASES).index(case))
         for _ in range(10):
             P, q, A, b, lo, hi, idx_l1 = qp._lift_program(deepc_shaped_program(rng, **kwargs))
-            P, q, A, b, lo, hi, _d, _r = qp._equilibrate(P, q, A, b, lo, hi)
+            P, q, A, b, lo, hi, _d, _r = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)
             structure = qp._Structure.of(P, A, idx_l1)
             assert structure is not None
             # barrier diagonals on the bounded variables, log-uniform up to d_max
@@ -319,6 +322,107 @@ class TestReducedStep:
             assert len(lu_sizes) == 1 + events["reduced_step_fallbacks"]
             w_lu = qp._Kkt(P, diag, A, qp._new_events()).solve(rhs)
             assert np.abs(w_reduced - w_lu).max() <= 1e-10 * np.abs(w_lu).max()
+
+
+class TestFoldedSetup:
+    """Equilibration and the least-squares start work on the folded matrices."""
+
+    @staticmethod
+    def programs(spread):
+        """DeePC-shaped programs with one input pinned (which adds a row);
+        ``spread`` scales P and the rows of A by up to 10^+-6."""
+        rng = np.random.default_rng(5)
+        for kwargs in ({}, dict(rows=False), dict(shared_row=True), dict(l1=False)):
+            for _ in range(3):
+                prob = deepc_shaped_program(rng, **kwargs)
+                if spread:
+                    prob.p_mat *= 10.0 ** rng.uniform(-6, 6)
+                    prob.a_eq *= 10.0 ** rng.uniform(-6, 6, (prob.a_eq.shape[0], 1))
+                prob.lower[-1] = prob.upper[-1] = 0.5
+                yield prob
+
+    def test_equilibrate_before_lift_is_bit_identical(self):
+        for prob in self.programs(spread=True):
+            P, q, A, b, lo, hi, idx_l1 = qp._lift_program(prob)
+            P_l, A_l = qp._lift_matrices(P, A, idx_l1)
+            lifted_first = qp._equilibrate(P_l, q, A_l, b, lo, hi, np.zeros(0, dtype=int))
+            scaled_first = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)
+            for ref, got in zip(lifted_first, scaled_first):
+                np.testing.assert_array_equal(got, ref)
+
+    @staticmethod
+    def assert_matches_lstsq(lsq, A, rng):
+        b = rng.standard_normal(A.shape[0])
+        g = rng.standard_normal(A.shape[1])
+        x_ref = np.linalg.lstsq(A, b)[0]
+        y_ref = np.linalg.lstsq(A.T, g)[0]
+        assert np.abs(lsq.solve(b) - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+        assert np.abs(lsq.solve_transpose(g) - y_ref).max() <= 1e-12 * np.abs(y_ref).max()
+
+    def test_start_matches_lstsq_on_lifted_matrix(self):
+        rng = np.random.default_rng(6)
+        for prob in self.programs(spread=False):
+            P, q, A, b, lo, hi, idx_l1 = qp._lift_program(prob)
+            A = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)[2]
+            self.assert_matches_lstsq(qp._LeastSquares(A[:, : prob.n_vars], idx_l1), A, rng)
+
+    def test_start_rank_cut_off_is_the_lifted_one(self):
+        # B h has singular values (1, 0.5, 0.2, s_min), and s_min lies between
+        # lstsq's cut-off for the folded shape (eps * 10) and for the lifted
+        # one (eps * 20): the lifted matrix has rank 3
+        rng = np.random.default_rng(7)
+        n, pos = 10, np.arange(10)
+        eps = np.finfo(float).eps
+        u = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, 4)))[0]
+        c = (u * [1.0, 0.5, 0.2, 15 * eps]) @ v.T
+        B = c / np.sqrt(2.0)
+        A = np.hstack([B, -B[:, pos]])
+        lsq = qp._LeastSquares(B, pos)
+        assert lsq.s.size == 3 == np.linalg.matrix_rank(A)
+        self.assert_matches_lstsq(lsq, A, rng)
+        # duplicate rows: the cut-off removes the exact null direction
+        B = np.vstack([B[:3], B[:1]])
+        self.assert_matches_lstsq(qp._LeastSquares(B, pos), np.hstack([B, -B[:, pos]]), rng)
+
+
+class TestStructureProduct:
+    """K w and |K| |w| applied in parts, against the dense lifted KKT matrix."""
+
+    @staticmethod
+    def dense_kkt(P, diag, A):
+        kkt = qp._Kkt(P, diag, A, qp._new_events())
+        kkt._build()
+        return kkt.k0
+
+    def test_matches_dense_matrix(self):
+        rng = np.random.default_rng(8)
+        for kwargs in ({}, dict(rows=False), dict(diagonal_r=False), dict(shared_row=True),
+                       dict(l1=False)):
+            P, q, A, b, lo, hi, idx_l1 = qp._lift_program(deepc_shaped_program(rng, **kwargs))
+            P, q, A, b, lo, hi, _d, _r = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)
+            st = qp._Structure.of(P, A, idx_l1)
+            diag = np.isfinite(lo) * rng.uniform(0.0, 1e4, q.size)
+            k0 = self.dense_kkt(P, diag, A)
+            dx, dy = rng.standard_normal(q.size), rng.standard_normal(b.size)
+            w = np.concatenate([dx, dy])
+            scale = np.abs(k0) @ np.abs(w)
+            assert np.all(np.abs(st.product(diag, dx, dy) - k0 @ w) <= 1e-14 * scale)
+            got = st.product(diag, np.abs(dx), np.abs(dy), absolute=True)
+            assert np.all(np.abs(got - scale) <= 1e-14 * scale)
+
+    def test_one_sided_zero_pattern_is_not_separable(self):
+        # row 1 of P is zero off the diagonal but column 1 is not (a scaled P
+        # need not be bitwise symmetric): variable 1 must stay in the dense part
+        P = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        A = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
+        st = qp._Structure.of(P, A, np.zeros(0, dtype=int))
+        assert st.sep.tolist() == [2]
+        rng = np.random.default_rng(9)
+        diag = rng.uniform(0.0, 1.0, 3)
+        dx, dy = rng.standard_normal(3), rng.standard_normal(3)
+        k0 = self.dense_kkt(P, diag, A)
+        np.testing.assert_allclose(st.product(diag, dx, dy), k0 @ np.r_[dx, dy], rtol=1e-14)
 
 
 class TestEvents:
@@ -350,6 +454,95 @@ class TestEvents:
         sol = qp.solve(prob)
         assert sol.status is qp.QpStatus.INFEASIBLE
         assert sol.events == {"reduced_step_fallbacks": 0, "regularization_escalations": 0}
+
+
+class TestDegeneratePrograms:
+    """Programs on which an earlier solver raised or claimed a false optimum."""
+
+    def test_sigma_ratio_does_not_overflow(self):
+        # box widths of 1e-53..1e-130 against a gradient of 1e140: the affine
+        # step's mu_aff / mu passes 1e103, and cubing it as a Python float raised
+        prob = qp.QuadProgram(
+            p_mat=[[3.3e-53, -8.3e-54], [-8.3e-54, 1.0e-52]], q_vec=[-1.0e140, -9.5e140],
+            lower=[-1.1e-53, -1.4e-53], upper=[5.0e-131, 1.5e-130],
+        )
+        with np.errstate(all="ignore"):
+            sol = qp.solve(prob)
+        assert sol.status in (qp.QpStatus.OPTIMAL, qp.QpStatus.MAX_ITERATIONS)
+
+    def test_equality_only_non_finite_step_is_typed(self):
+        # the one feasible point is -4.7e71, where P z overflows: the second
+        # Newton right-hand side is not finite
+        prob = qp.QuadProgram(p_mat=[[6e261]], q_vec=[7e-145], a_eq=[[3e-124]], b_eq=[-1.4e-52])
+        with np.errstate(all="ignore"):
+            sol = qp.solve(prob)
+        assert sol.status is qp.QpStatus.MAX_ITERATIONS
+        np.testing.assert_allclose(sol.z, [-1.4e-52 / 3e-124], rtol=1e-12)
+
+    def test_unbounded_program_is_not_optimal(self):
+        # unbounded below: the iterate runs to -inf, and its NaN residuals
+        # must not pass the acceptance test
+        with np.errstate(all="ignore"):
+            sol = qp.solve(qp.QuadProgram(p_mat=[[0.0]], q_vec=[1e290]))
+        assert sol.status is qp.QpStatus.MAX_ITERATIONS
+
+
+@st.composite
+def degenerate_programs(draw):
+    """Small QPs with entries scaled by up to 10^+-150, rank-deficient or zero
+    P, duplicate and rank-deficient equality rows, mixed bounds and l1 terms
+    on every free variable."""
+    n = draw(st.integers(1, 6))
+    me = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def scale(limit=150):
+        return 10.0 ** draw(st.integers(-limit, limit))
+
+    p_rank = draw(st.integers(0, n))  # 0 gives P = 0
+    l_fac = rng.standard_normal((n, p_rank)) * scale(75)
+    a_rank = draw(st.integers(0, min(me, n)))
+    a_eq = rng.standard_normal((me, a_rank)) @ rng.standard_normal((a_rank, n)) * scale()
+    if me >= 2 and draw(st.booleans()):
+        a_eq[-1] = a_eq[0]  # duplicate row
+    if draw(st.booleans()):
+        b_eq = a_eq @ rng.standard_normal(n)  # consistent
+    else:
+        b_eq = rng.standard_normal(me) * scale()
+    kinds = draw(st.lists(st.sampled_from(["free", "lower", "upper", "box", "pinned"]),
+                          min_size=n, max_size=n))
+    lo = np.full(n, -np.inf)
+    hi = np.full(n, np.inf)
+    for i, kind in enumerate(kinds):
+        centre, width = rng.standard_normal() * scale(), rng.uniform(0.1, 2.0) * scale()
+        if kind in ("lower", "box"):
+            lo[i] = centre - width
+        if kind in ("upper", "box"):
+            hi[i] = centre + width
+        if kind == "pinned":
+            lo[i] = hi[i] = centre
+    free = np.array([kind == "free" for kind in kinds])
+    weights = None
+    if free.any() and draw(st.booleans()):
+        weights = np.where(free, rng.uniform(0.1, 1.0, n) * scale(), 0.0)
+    return qp.QuadProgram(
+        p_mat=l_fac @ l_fac.T, q_vec=rng.standard_normal(n) * scale(), l1_weights=weights,
+        a_eq=a_eq, b_eq=b_eq, lower=lo, upper=hi,
+    )
+
+
+class TestFuzz:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(degenerate_programs())
+    def test_never_raises_and_optimal_is_certified(self, prob):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            sol = qp.solve(prob)
+            residuals = qp.kkt_residuals(sol) if sol._cert is not None else None
+        if sol.status is qp.QpStatus.OPTIMAL:
+            assert np.isfinite(sol.z).all()
+            assert np.max(residuals) <= 1e-9
 
 
 class TestAssembleReduced:
