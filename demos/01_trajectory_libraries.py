@@ -13,7 +13,7 @@ import numpy as np
 
 from deepckit.hankel import build_block_hankel, is_persistently_exciting, partition
 from deepckit.matlib import numeric_rank
-from deepckit.plants import NoiseSpec, collect_trajectory, simulate_linear, triple_mass_spring
+from deepckit.plants import NoiseSpec, collect_trajectory, rollout, triple_mass_spring
 
 T, T_INI, HORIZON = 200, 4, 40
 
@@ -41,7 +41,7 @@ print(f"numeric rank: {rank}  (m*L + n = {plant.m * depth + plant.n})")
 rng = np.random.default_rng(7)
 x0 = rng.standard_normal(plant.n)
 u_new = rng.uniform(-0.7, 0.7, size=(depth, plant.m))
-y_new = simulate_linear(plant, x0, u_new)
+y_new, _ = rollout(plant, x0, u_new)
 h_u = build_block_hankel(traj.u_d, depth)
 h_y = build_block_hankel(traj.y_d, depth)
 h = np.vstack([h_u, h_y])

@@ -81,7 +81,7 @@ print(f"  ridge 30: raw vs reduced deviation {d2:.2e}")
 
 s_dd = spec_of(0.0, 0.0, 100.0)
 dd = va.solve_dd_spc(pre_spc, online, s_dd)
-s3 = spec_of(0.0, 1e4 * bench._instance_scale(lib, online, s_dd), 100.0)
+s3 = spec_of(0.0, 1e4 * bench.instance_scale(lib, online, s_dd), 100.0)
 h3 = va.solve_hybrid(lib, online, s3, tol=1e-11, max_iter=200, accept_tol=1e-7)
 print(f"  large ridge {s3.lambda2:.2g}: raw vs projected deviation "
       f"{deviation(h3, dd, with_sigma=True):.2e}")

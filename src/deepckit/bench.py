@@ -49,6 +49,7 @@ __all__ = [
     "ExperimentConfig",
     "BenchRow",
     "make_instance",
+    "instance_scale",
     "cmd_equivalence",
     "cmd_benchmark",
     "cmd_sweep",
@@ -270,7 +271,7 @@ def _deviation(sol_a, sol_b, with_sigma: bool) -> tuple[float, float, float]:
     return du, dy, ds
 
 
-def _instance_scale(lib, online, spec) -> float:
+def instance_scale(lib, online, spec) -> float:
     """Spectral norm of the assembled quadratic term, for scaling lambda2."""
     red = qp.assemble_reduced(
         lib.up, lib.yp, lib.uf, lib.yf,
@@ -337,7 +338,7 @@ def cmd_equivalence(cfg: ExperimentConfig) -> tuple[Path, bool]:
 
     # regime 3: large lambda2 adds the projected-library variant
     for trial, instance in enumerate(noisy):
-        scale = _instance_scale(instance[0], instance[1], spec_plain)
+        scale = instance_scale(instance[0], instance[1], spec_plain)
         spec_t3 = replace(spec_plain, lambda2=1e4 * scale)
         certify(
             "theorem3", trial, instance,

@@ -24,8 +24,6 @@ __all__ = [
     "PlantDiverged",
     "seeded_generator",
     "standard_normal",
-    "step_linear",
-    "simulate_linear",
     "triple_mass_spring",
     "lv_step",
     "lv_linearized_plant",
@@ -174,11 +172,6 @@ class NoiseSpec:
             raise ValueError("variance must be nonnegative")
 
 
-def step_linear(plant: LinearPlant, x, u):
-    """One step of the plant: returns (x_next, y)."""
-    return plant.step(x, u)
-
-
 def rollout(plant, x0, u_seq):
     """Drive either plant from ``x0`` under the K x m inputs ``u_seq``.
 
@@ -190,14 +183,6 @@ def rollout(plant, x0, u_seq):
     for k, u in enumerate(u_seq):
         x, y_seq[k] = plant.step(x, u)
     return y_seq, x
-
-
-def simulate_linear(plant: LinearPlant, x0, u_seq) -> np.ndarray:
-    """Roll the plant forward under a K x m input sequence; returns K x p outputs."""
-    u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float))
-    if u_seq.shape[1] != plant.m:
-        raise ValueError(f"u_seq must have {plant.m} columns, got {u_seq.shape[1]}")
-    return rollout(plant, x0, u_seq)[0]
 
 
 def triple_mass_spring() -> LinearPlant:

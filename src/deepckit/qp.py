@@ -62,6 +62,8 @@ __all__ = [
     "QpSolution",
     "solve",
     "kkt_residuals",
+    "tracking_program",
+    "TrackingQp",
     "assemble_reduced",
     "ReducedQp",
     "save_program_csv",
@@ -573,10 +575,10 @@ def _max_step(v, dv):
     return float((-v[neg] / dv[neg]).min())
 
 
-def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0, lsq, structure, accept_tol=None):
+def _ipm(P, q, A, b, lo, hi, tol, max_iter, x_start, lsq, structure, accept_tol=None):
     """Mehrotra predictor-corrector for box- and equality-constrained QPs.
 
-    Starts from ``x0``; ``lsq`` is the equality matrix's :class:`_LeastSquares`
+    Starts from ``x_start``; ``lsq`` is the equality matrix's :class:`_LeastSquares`
     (None when there are no equalities) and ``structure`` the program's
     :class:`_Structure` (or None).  Iterates toward ``tol``; if progress
     stalls first (conditioning floor), the best iterate seen is returned and
@@ -591,7 +593,7 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x0, lsq, structure, accept_tol=None)
     nb = bounds.size
     events = _new_events()
 
-    x = _push_interior(x0, lo, hi)
+    x = _push_interior(x_start, lo, hi)
     # dual start near the least-squares stationary point; bound duals pick up
     # the scale of the gradient so l1-split weights do not derail early steps
     grad = P @ x + q
@@ -808,7 +810,6 @@ def solve(
     prob: QuadProgram,
     tol: float = 1e-9,
     max_iter: int = 100,
-    x0: np.ndarray | None = None,
     accept_tol: float | None = None,
 ) -> QpSolution:
     """Solve a QuadProgram to the requested relative tolerance.
@@ -817,7 +818,6 @@ def solve(
         prob: the problem; dimensions are validated at construction.
         tol: target for the scaled primal/dual/complementarity residuals.
         max_iter: interior-point iteration cap.
-        x0: optional starting point in the original variables.
         accept_tol: optional looser threshold; iterations still aim for
             ``tol`` but if conditioning stalls progress first, the best
             iterate is accepted as OPTIMAL when its residuals meet this
@@ -831,11 +831,6 @@ def solve(
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
     n = prob.n_vars
-    x0_arr = None
-    if x0 is not None:
-        x0_arr = np.asarray(x0, dtype=float).ravel()
-        if x0_arr.size != n:
-            raise ValueError("x0 has wrong length")
 
     P, q, A, b, lo, hi, idx_l1 = _lift_program(prob)
     P, q, A, b, lo, hi, d_scale, _r_scale = _equilibrate(P, q, A, b, lo, hi, idx_l1)
@@ -858,16 +853,6 @@ def solve(
                 iterations=0,
                 status=QpStatus.INFEASIBLE,
             )
-    if x0_arr is not None:
-        if idx_l1.size:
-            pos = np.maximum(x0_arr[idx_l1], 0.0)
-            neg = np.maximum(-x0_arr[idx_l1], 0.0)
-            x_start = np.concatenate([x0_arr, neg])
-            x_start[idx_l1] = pos
-        else:
-            x_start = x0_arr.copy()
-        x_start = x_start / d_scale
-
     x, y, zb, iters, status, (primal, dual, gap), events = _ipm(
         P, q, A, b, lo, hi, tol, max_iter, x_start, lsq,
         _Structure.of(P, A, idx_l1), accept_tol,
@@ -925,27 +910,107 @@ def _tile_bound(vec, total: int) -> np.ndarray:
 
 
 @dataclass
-class ReducedQp:
-    """A QuadProgram over z = (g, sigma_y?, u, y?) plus the bookkeeping to unpack it.
+class TrackingQp:
+    """A QuadProgram with an output-tracking cost, plus where u and y sit in z.
 
-    ``y`` is an explicit (box-bounded) variable only when output bounds are
-    present; otherwise it is recovered as ``yf @ g``.
+    ``y`` is an explicit (box-bounded) block ``z[y_slice]`` only when output
+    bounds are present; otherwise ``y_slice`` is None and y is recovered from
+    its affine map.
     """
 
     qp: QuadProgram
-    n_g: int
-    sigma_slice: slice | None
     u_slice: slice
     y_slice: slice | None
-    yf: np.ndarray
+    y_map: np.ndarray
+    y_const: np.ndarray
+
+    def outputs(self, z) -> np.ndarray:
+        """The predicted outputs y at the decision vector ``z``."""
+        z = np.asarray(z, dtype=float).ravel()
+        if self.y_slice is not None:
+            return z[self.y_slice]
+        return self.y_const + self.y_map @ z[: self.y_map.shape[1]]
+
+
+def tracking_program(
+    p_mat, y_map, y_const, q_bar, y_ref, u_slice: slice, *,
+    l1_weights=None, a_eq=None, b_eq=None, u_box=None, y_box=None,
+) -> TrackingQp:
+    """Add the cost ``(y - y_ref)' q_bar (y - y_ref)`` and the boxes to a program.
+
+    ``p_mat`` (with a factor 1/2, as in :class:`QuadProgram`), ``l1_weights``,
+    ``a_eq`` and ``b_eq`` are the program's own terms over z; it has no linear
+    term of its own.  The outputs are affine in the first k variables,
+    ``y = y_const + y_map @ z[:k]``.  Without output bounds y is eliminated:
+    with ``qg = q_bar @ y_map`` the cost adds ``2 y_map' qg`` to P, in place
+    in ``p_mat`` (the program takes it over, sparing a copy), and
+    ``2 qg' (y_const - y_ref)`` to q.  With bounds an explicit y block is
+    appended, tied by ``y - y_map z[:k] = y_const``, which carries the tracking
+    cost and the output box.  ``u_box`` and ``y_box`` are per-channel (lo, hi)
+    pairs, either side None for unbounded; the input box is tiled over
+    ``u_slice`` and the output box over the horizon.
+    """
+    p_mat = np.asarray(p_mat, dtype=float)
+    y_map = np.asarray(y_map, dtype=float)
+    y_const = np.asarray(y_const, dtype=float).ravel()
+    n_y, k = y_map.shape
+    y_ref = np.zeros(n_y) if y_ref is None else np.asarray(y_ref, dtype=float).ravel()
+    if y_const.size != n_y or y_ref.size != n_y:
+        raise ValueError("y_const and y_ref lengths must match the rows of y_map")
+    y_lo, y_hi = y_box or (None, None)
+    bound_y = any(v is not None and np.any(np.isfinite(v)) for v in (y_lo, y_hi))
+    n = len(p_mat)
+    n_z = n + (n_y if bound_y else 0)
+
+    lo = np.full(n_z, -np.inf)
+    hi = np.full(n_z, np.inf)
+    u_lo, u_hi = u_box or (None, None)
+    n_u = u_slice.stop - u_slice.start
+    if u_lo is not None:
+        lo[u_slice] = _tile_bound(u_lo, n_u)
+    if u_hi is not None:
+        hi[u_slice] = _tile_bound(u_hi, n_u)
+    y_slice = None
+    if bound_y:
+        y_slice = slice(n, n_z)
+        p_mat = scipy.linalg.block_diag(p_mat, 2.0 * q_bar)
+        q_vec = np.concatenate([np.zeros(n), -2.0 * (q_bar @ y_ref)])
+        y_rows = np.hstack([-y_map, np.zeros((n_y, n - k)), np.eye(n_y)])
+        if a_eq is None:
+            a_eq, b_eq = y_rows, y_const
+        else:
+            a_eq = np.block([[a_eq, np.zeros((len(a_eq), n_y))], [y_rows]])
+            b_eq = np.concatenate([b_eq, y_const])
+        if l1_weights is not None:
+            l1_weights = np.concatenate([l1_weights, np.zeros(n_y)])
+        if y_lo is not None:
+            lo[y_slice] = _tile_bound(y_lo, n_y)
+        if y_hi is not None:
+            hi[y_slice] = _tile_bound(y_hi, n_y)
+    else:
+        qg = q_bar @ y_map
+        p_mat[:k, :k] += 2.0 * (y_map.T @ qg)
+        q_vec = np.zeros(n)
+        q_vec[:k] = 2.0 * (qg.T @ (y_const - y_ref))
+
+    prob = QuadProgram(
+        p_mat=p_mat, q_vec=q_vec, l1_weights=l1_weights, a_eq=a_eq, b_eq=b_eq,
+        lower=lo, upper=hi,
+    )
+    return TrackingQp(prob, u_slice, y_slice, y_map, y_const)
+
+
+@dataclass
+class ReducedQp(TrackingQp):
+    """A tracking program over z = (g, sigma_y?, u, y?) plus the bookkeeping to unpack it."""
+
+    n_g: int
+    sigma_slice: slice | None
 
     def split(self, z):
         z = np.asarray(z, dtype=float).ravel()
-        g = z[: self.n_g]
         sigma = z[self.sigma_slice] if self.sigma_slice is not None else None
-        u = z[self.u_slice]
-        y = z[self.y_slice] if self.y_slice is not None else self.yf @ g
-        return g, sigma, u, y
+        return z[: self.n_g], sigma, z[self.u_slice], self.outputs(z)
 
 
 def assemble_reduced(
@@ -973,11 +1038,11 @@ def assemble_reduced(
     The decision vector is z = (g, sigma_y, u, y): the predictor rows pin
     ``U_P g = u_ini`` and ``Y_P g = y_ini + sigma_y``; the future input is an
     auxiliary variable tied by ``U_F g = u`` so box bounds stay per-variable;
-    the predicted output enters the objective as ``yf @ g`` unless output
-    bounds require it as an auxiliary variable too.  ``sigma_y`` is present
-    iff ``lambda_y`` is given.  Nonzero ``lambda1`` puts an l1 weight on g
-    (realized inside the solver by the g = g+ - g- split); nonzero ``lambda2``
-    adds the quadratic ``lambda2 * ||g2 @ g||^2``.
+    the predicted output ``yf @ g`` enters through :func:`tracking_program`,
+    which adds y as an auxiliary variable only when output bounds require it.
+    ``sigma_y`` is present iff ``lambda_y`` is given.  Nonzero ``lambda1``
+    puts an l1 weight on g (realized inside the solver by the g = g+ - g-
+    split); nonzero ``lambda2`` adds the quadratic ``lambda2 * ||g2 @ g||^2``.
     """
     up = np.asarray(up, dtype=float)
     yp = np.asarray(yp, dtype=float)
@@ -991,34 +1056,18 @@ def assemble_reduced(
     if u_ini.size != up.shape[0] or y_ini.size != yp.shape[0]:
         raise ValueError("online data does not match past-block row counts")
     n_u = uf.shape[0]
-    n_y = yf.shape[0]
-    y_ref = np.zeros(n_y) if y_ref is None else np.asarray(y_ref, dtype=float).ravel()
-    if y_ref.size != n_y:
-        raise ValueError("y_ref length must match future output rows")
 
     with_sigma = lambda_y is not None
     n_sig = yp.shape[0] if with_sigma else 0
-    bound_y = any(
-        v is not None and np.any(np.isfinite(v)) for v in (y_lower, y_upper)
-    )
-    off_sig = n_g
-    off_u = off_sig + n_sig
-    off_y = off_u + n_u
-    n_z = off_y + (n_y if bound_y else 0)
+    off_u = n_g + n_sig
+    n_z = off_u + n_u
 
     p_mat = np.zeros((n_z, n_z))
-    q_vec = np.zeros(n_z)
-    if bound_y:
-        p_mat[off_y:, off_y:] = 2.0 * q_bar
-        q_vec[off_y:] = -2.0 * (q_bar @ y_ref)
-    else:
-        p_mat[:n_g, :n_g] += 2.0 * (yf.T @ q_bar @ yf)
-        q_vec[:n_g] += -2.0 * (yf.T @ (q_bar @ y_ref))
-    p_mat[off_u:off_u + n_u, off_u:off_u + n_u] = 2.0 * r_bar
+    p_mat[off_u:, off_u:] = 2.0 * r_bar
     if with_sigma:
         if lambda_y <= 0.0:
             raise ValueError("lambda_y must be positive when sigma_y is present")
-        p_mat[off_sig:off_u, off_sig:off_u] = 2.0 * lambda_y * np.eye(n_sig)
+        p_mat[n_g:off_u, n_g:off_u] = 2.0 * lambda_y * np.eye(n_sig)
     if lambda2 != 0.0:
         if g2 is None:
             raise ValueError("lambda2 > 0 requires the projector complement g2")
@@ -1030,58 +1079,20 @@ def assemble_reduced(
         w = np.zeros(n_z)
         w[:n_g] = lambda1
 
-    rows = []
-    rhs = []
-    row = np.zeros((up.shape[0], n_z))
-    row[:, :n_g] = up
-    rows.append(row)
-    rhs.append(u_ini)
-    row = np.zeros((yp.shape[0], n_z))
-    row[:, :n_g] = yp
+    # rows U_P g = u_ini, Y_P g - sigma_y = y_ini and U_F g - u = 0
+    n_past = up.shape[0] + yp.shape[0]
+    a_eq = np.zeros((n_past + n_u, n_z))
+    a_eq[:, :n_g] = np.vstack([up, yp, uf])
     if with_sigma:
-        row[:, off_sig:off_u] = -np.eye(n_sig)
-    rows.append(row)
-    rhs.append(y_ini)
-    row = np.zeros((n_u, n_z))
-    row[:, :n_g] = uf
-    row[:, off_u:off_u + n_u] = -np.eye(n_u)
-    rows.append(row)
-    rhs.append(np.zeros(n_u))
-    if bound_y:
-        row = np.zeros((n_y, n_z))
-        row[:, :n_g] = yf
-        row[:, off_y:] = -np.eye(n_y)
-        rows.append(row)
-        rhs.append(np.zeros(n_y))
-
-    lo = np.full(n_z, -np.inf)
-    hi = np.full(n_z, np.inf)
-    if u_lower is not None:
-        lo[off_u:off_u + n_u] = _tile_bound(u_lower, n_u)
-    if u_upper is not None:
-        hi[off_u:off_u + n_u] = _tile_bound(u_upper, n_u)
-    if bound_y:
-        if y_lower is not None:
-            lo[off_y:] = _tile_bound(y_lower, n_y)
-        if y_upper is not None:
-            hi[off_y:] = _tile_bound(y_upper, n_y)
-
-    prob = QuadProgram(
-        p_mat=p_mat,
-        q_vec=q_vec,
-        l1_weights=w,
-        a_eq=np.vstack(rows),
-        b_eq=np.concatenate(rhs),
-        lower=lo,
-        upper=hi,
+        a_eq[up.shape[0]:n_past, n_g:off_u] = -np.eye(n_sig)
+    a_eq[n_past:, off_u:] = -np.eye(n_u)
+    prog = tracking_program(
+        p_mat, yf, np.zeros(yf.shape[0]), q_bar, y_ref, slice(off_u, n_z),
+        l1_weights=w, a_eq=a_eq, b_eq=np.concatenate([u_ini, y_ini, np.zeros(n_u)]),
+        u_box=(u_lower, u_upper), y_box=(y_lower, y_upper),
     )
     return ReducedQp(
-        qp=prob,
-        n_g=n_g,
-        sigma_slice=slice(off_sig, off_u) if with_sigma else None,
-        u_slice=slice(off_u, off_u + n_u),
-        y_slice=slice(off_y, n_z) if bound_y else None,
-        yf=yf,
+        **vars(prog), n_g=n_g, sigma_slice=slice(n_g, off_u) if with_sigma else None
     )
 
 

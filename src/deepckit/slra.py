@@ -92,7 +92,8 @@ def iterative_slra(
     n_order: int,
     eps: float = 1e-6,
     max_iter: int = 200,
-    block_size: int | None = None,
+    *,
+    block_size: int,
 ) -> SlraReport:
     """Denoise an output Hankel while preserving its block-Hankel structure.
 
@@ -111,9 +112,7 @@ def iterative_slra(
         eps: relative Frobenius stopping threshold.
         max_iter: pass limit; on exhaustion the last iterate is returned with
             ``converged=False``.
-        block_size: output channels per Hankel block row.  When omitted it is
-            inferred from the shared depth of the two Hankels, which is only
-            unambiguous when the channel counts differ.
+        block_size: output channels per Hankel block row.
     """
     h_y = _as_matrix(h_y, "h_y")
     h_u = _as_matrix(h_u, "h_u")
@@ -122,11 +121,8 @@ def iterative_slra(
     if eps <= 0.0 or max_iter < 1:
         raise ValueError("eps must be positive and max_iter >= 1")
     basis = rowspace_complement(h_u)
-    block = block_size if block_size is not None else _infer_block(
-        h_y.shape[0], h_u.shape[0]
-    )
-    if block < 1 or h_y.shape[0] % block:
-        raise ValueError(f"block size {block} does not divide {h_y.shape[0]} rows")
+    if block_size < 1 or h_y.shape[0] % block_size:
+        raise ValueError(f"block size {block_size} does not divide {h_y.shape[0]} rows")
     h1 = h_y.copy()
     rel_changes: list[float] = []
     converged = False
@@ -134,7 +130,7 @@ def iterative_slra(
     for _ in range(max_iter):
         iters += 1
         h2 = _truncate(h1, basis, n_order)
-        h1 = hankel_project(h2, block)
+        h1 = hankel_project(h2, block_size)
         denom = float(np.linalg.norm(h1, "fro"))
         diff = float(np.linalg.norm(h1 - h2, "fro"))
         rel = diff / denom if denom > 0.0 else 0.0
@@ -149,11 +145,3 @@ def iterative_slra(
         converged=converged,
         rel_changes=rel_changes,
     )
-
-
-def _infer_block(y_rows: int, u_rows: int) -> int:
-    """Output block size from the largest depth dividing both Hankel row counts."""
-    for depth in range(min(y_rows, u_rows), 0, -1):
-        if y_rows % depth == 0 and u_rows % depth == 0:
-            return y_rows // depth
-    return 1

@@ -2,10 +2,14 @@
 controller, its regularized/dimension-reduced relatives, subspace predictors,
 and realized-cost evaluation.
 
-All data-driven variants share one reduced QP template over the library
-coefficients g (see :func:`deepckit.qp.assemble_reduced`); they differ only in
-the library blocks they consume and the regularizers they activate, the two
-choices each :class:`Variant` record in :data:`VARIANTS` holds:
+Every controller solves one outer problem, built by
+:func:`deepckit.qp.tracking_program`: a tracking cost on the predicted outputs
+y plus input and output boxes.  They differ in how y is predicted: by the
+model, by the least-squares subspace map, or by the library through its
+coefficients g.  The library variants share one reduced QP template over g
+(see :func:`deepckit.qp.assemble_reduced`); they differ only in the library
+blocks they consume and the regularizers they activate, the two choices each
+:class:`Variant` record in :data:`VARIANTS` holds:
 
 =============  =================  ====================================
 variant        library blocks     regularizers
@@ -15,7 +19,7 @@ hybrid         raw                l1(g), ||(I-Pi1) g||^2, ||sigma_y||^2
 svd            W*Sigma            same, with the reduced projector
 ddspc          raw with Yf -> M   l1(g), ||sigma_y||^2
 svd-iter       denoised+reduced   ||(I-Pi1_hat) g||^2, ||sigma_y||^2
-classical spc  least-squares map  ||sigma_y||^2 (y eliminated)
+classical spc  least-squares map  ||sigma_y||^2 (no g)
 =============  =================  ====================================
 
 Cross-variant comparisons are made on (u, y, sigma_y) only; g is non-unique.
@@ -27,6 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import qp
 from .hankel import HankelPartition
@@ -112,16 +117,6 @@ class ControlSpec:
         if self.y_ref is None:
             return np.zeros(self.p * self.n_horizon)
         return self.y_ref
-
-    def u_bounds(self) -> tuple:
-        if self.u_box is None:
-            return None, None
-        return self.u_box
-
-    def y_bounds(self) -> tuple:
-        if self.y_box is None:
-            return None, None
-        return self.y_box
 
 
 @dataclass(frozen=True)
@@ -259,8 +254,8 @@ def _solve_reduced(variant: Variant, lib, online, spec, tol, max_iter, accept_to
     if lambda2 != 0.0:
         pi1 = rowspace_projector(stack_past_inputs(lib))
         g2 = np.eye(pi1.shape[0]) - pi1
-    u_lo, u_hi = spec.u_bounds()
-    y_lo, y_hi = spec.y_bounds()
+    u_lo, u_hi = spec.u_box or (None, None)
+    y_lo, y_hi = spec.y_box or (None, None)
     red = qp.assemble_reduced(
         lib.up,
         lib.yp,
@@ -305,10 +300,9 @@ def solve_ground_truth(
     The model is condensed: the stacked outputs are affine in the stacked
     inputs, ``y = Phi x_ini + Gamma u`` with ``Phi = col(C, CA, ..., CA^{N-1})``
     and ``Gamma`` the block-lower-triangular Toeplitz matrix of the Markov
-    parameters ``D, CB, CAB, ...``.  Without output bounds the QP runs over u
-    alone with ``P = 2 (R_bar + Gamma' Q_bar Gamma)`` and the input box; with
-    ``spec.y_box`` an explicit y block, tied by ``y - Gamma u = Phi x_ini``,
-    carries the output box and the tracking cost.
+    parameters ``D, CB, CAB, ...``.  The QP runs over u with
+    ``P = 2 R_bar``; :func:`deepckit.qp.tracking_program` adds the tracking
+    cost of ``y`` and the input and output boxes.
     """
     n, m, p = plant.n, plant.m, plant.p
     if spec.m != m or spec.p != p:
@@ -332,44 +326,15 @@ def solve_ground_truth(
     gamma = blocks.transpose(0, 2, 1, 3).reshape(n_y, n_u)
     free = phi.reshape(n_y, n) @ x_ini  # the zero-input response
 
-    r_bar = spec.r_bar()
-    q_bar = spec.q_bar()
-    y_ref = spec.y_ref_vec()
-    u_lo, u_hi = spec.u_bounds()
-    y_lo, y_hi = spec.y_bounds()
-    bound_y = any(v is not None and np.any(np.isfinite(v)) for v in (y_lo, y_hi))
-    n_z = n_u + (n_y if bound_y else 0)
-    lo = np.full(n_z, -np.inf)
-    hi = np.full(n_z, np.inf)
-    if u_lo is not None:
-        lo[:n_u] = qp._tile_bound(u_lo, n_u)
-    if u_hi is not None:
-        hi[:n_u] = qp._tile_bound(u_hi, n_u)
-    if bound_y:
-        p_mat = np.zeros((n_z, n_z))
-        p_mat[:n_u, :n_u] = 2.0 * r_bar
-        p_mat[n_u:, n_u:] = 2.0 * q_bar
-        q_vec = np.concatenate([np.zeros(n_u), -2.0 * (q_bar @ y_ref)])
-        a_eq = np.hstack([-gamma, np.eye(n_y)])
-        b_eq = free
-        if y_lo is not None:
-            lo[n_u:] = qp._tile_bound(y_lo, n_y)
-        if y_hi is not None:
-            hi[n_u:] = qp._tile_bound(y_hi, n_y)
-    else:
-        qg = q_bar @ gamma
-        p_mat = 2.0 * (r_bar + gamma.T @ qg)
-        q_vec = 2.0 * (qg.T @ (free - y_ref))
-        a_eq = b_eq = None
-
-    prob = qp.QuadProgram(
-        p_mat=p_mat, q_vec=q_vec, a_eq=a_eq, b_eq=b_eq, lower=lo, upper=hi
+    prog = qp.tracking_program(
+        2.0 * spec.r_bar(), gamma, free, spec.q_bar(), spec.y_ref_vec(), slice(0, n_u),
+        u_box=spec.u_box, y_box=spec.y_box,
     )
-    sol = qp.solve(prob, tol=tol, max_iter=max_iter, accept_tol=accept_tol)
+    sol = qp.solve(prog.qp, tol=tol, max_iter=max_iter, accept_tol=accept_tol)
     if sol.status is not qp.QpStatus.OPTIMAL:
         raise VariantError("ground-truth", sol)
     u = sol.z[:n_u]
-    y = sol.z[n_u:] if bound_y else free + gamma @ u
+    y = prog.outputs(sol.z)
     obj = _variant_objective(spec, np.zeros(0), u, y, np.zeros(0))
     return ControlSolution(
         u=u,
@@ -485,10 +450,12 @@ def solve_classical_spc(
     max_iter: int = 100,
     accept_tol: float | None = None,
 ) -> ControlSolution:
-    """Least-squares subspace predictor: y is eliminated through Y_F H1^+.
+    """Least-squares subspace predictor: y is predicted through Y_F H1^+.
 
-    The reduced QP runs over (u, sigma_y) only; the predicted output is
-    ``Y_F H1^+ col(u_ini, y_ini + sigma_y, u)``.
+    The QP runs over (u, sigma_y); the predicted output is
+    ``Y_F H1^+ col(u_ini, y_ini + sigma_y, u)``, and
+    :func:`deepckit.qp.tracking_program` adds its tracking cost and the input
+    and output boxes, so ``spec.y_box`` is honoured as by the other variants.
     """
     _check_inputs(VARIANTS["spc"], lib, online, spec)
     h1 = stack_past_inputs(lib)
@@ -501,33 +468,17 @@ def solve_classical_spc(
     c0 = t_up @ online.u_ini + t_yp @ online.y_ini
 
     n_u = lib.m * lib.n_horizon
-    n_sig = p_t
-    n_z = n_u + n_sig
-    q_bar = spec.q_bar()
-    y_ref = spec.y_ref_vec()
-    d0 = c0 - y_ref
-    p_mat = np.zeros((n_z, n_z))
-    p_mat[:n_u, :n_u] = 2.0 * (spec.r_bar() + t_uf.T @ q_bar @ t_uf)
-    p_mat[:n_u, n_u:] = 2.0 * (t_uf.T @ q_bar @ t_yp)
-    p_mat[n_u:, :n_u] = p_mat[:n_u, n_u:].T
-    p_mat[n_u:, n_u:] = 2.0 * (spec.lambda_y * np.eye(n_sig) + t_yp.T @ q_bar @ t_yp)
-    q_vec = np.concatenate([2.0 * (t_uf.T @ (q_bar @ d0)), 2.0 * (t_yp.T @ (q_bar @ d0))])
-
-    lo = np.full(n_z, -np.inf)
-    hi = np.full(n_z, np.inf)
-    u_lo, u_hi = spec.u_bounds()
-    if u_lo is not None:
-        lo[:n_u] = qp._tile_bound(u_lo, n_u)
-    if u_hi is not None:
-        hi[:n_u] = qp._tile_bound(u_hi, n_u)
-
-    prob = qp.QuadProgram(p_mat=p_mat, q_vec=q_vec, lower=lo, upper=hi)
-    sol = qp.solve(prob, tol=tol, max_iter=max_iter, accept_tol=accept_tol)
+    p_mat = block_diag(2.0 * spec.r_bar(), 2.0 * spec.lambda_y * np.eye(p_t))
+    prog = qp.tracking_program(
+        p_mat, np.hstack([t_uf, t_yp]), c0, spec.q_bar(), spec.y_ref_vec(), slice(0, n_u),
+        u_box=spec.u_box, y_box=spec.y_box,
+    )
+    sol = qp.solve(prog.qp, tol=tol, max_iter=max_iter, accept_tol=accept_tol)
     if sol.status is not qp.QpStatus.OPTIMAL:
         raise VariantError("spc", sol)
     u = sol.z[:n_u]
-    sigma = sol.z[n_u:]
-    y = c0 + t_yp @ sigma + t_uf @ u
+    sigma = sol.z[n_u:n_u + p_t]
+    y = prog.outputs(sol.z)
     obj = _variant_objective(spec, np.zeros(0), u, y, sigma)
     return ControlSolution(
         u=u, y_pred=y, sigma_y=sigma, g=np.zeros(0), objective=obj, solver=sol

@@ -126,7 +126,7 @@ def test_c03_theorem3_certification(plant, noisy_instances):
         spec_dd = make_spec(plant, 0.0, 0.0, 100.0)
         sol_d = va.solve_dd_spc(pre_spc, online, spec_dd, **opts)
         spec3 = make_spec(plant, 0.0, 0.0, 100.0)
-        spec3 = replace(spec3, lambda2=1e4 * bench._instance_scale(lib, online, spec3))
+        spec3 = replace(spec3, lambda2=1e4 * bench.instance_scale(lib, online, spec3))
         sol_h = va.solve_hybrid(lib, online, spec3, **opts)
         sol_s = va.solve_svd(pre_svd, online, spec3, **opts)
         for a, b in itertools.combinations((sol_h, sol_s, sol_d), 2):

@@ -71,8 +71,6 @@ class TestMakeInstance:
         assert np.abs(a[0].yf - b[0].yf).max() > 1e-6
 
     def test_state_consistent_with_window(self, small_plant):
-        from deepckit.plants import step_linear
-
         lib, online, x_true = bench.make_instance(
             small_plant, T=60, t_ini=3, n_horizon=8,
             noise_var=0.0, u_lo=-1, u_hi=1, seed=9)
@@ -94,7 +92,7 @@ class TestMakeInstance:
         x0, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
         x = x0
         for k in range(3):
-            x, _ = step_linear(small_plant, x, u_seq[k])
+            x, _ = small_plant.step(x, u_seq[k])
         np.testing.assert_allclose(x, x_true, atol=1e-8)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from deepckit import hankel
 from deepckit.matlib import numeric_rank, rowspace_projector
-from deepckit.plants import NoiseSpec, collect_trajectory, simulate_linear
+from deepckit.plants import NoiseSpec, collect_trajectory, rollout
 
 
 class TestBuildBlockHankel:
@@ -154,7 +154,7 @@ class TestFundamentalLemmaConsistency:
         rng = np.random.default_rng(12)
         x0 = rng.standard_normal(2)
         u_new = rng.uniform(-1, 1, size=(depth, 1))
-        y_new = simulate_linear(small_plant, x0, u_new)
+        y_new, _ = rollout(small_plant, x0, u_new)
         w = np.concatenate([u_new.ravel(), y_new.ravel()])
         coeffs, *_ = np.linalg.lstsq(h, w, rcond=None)
         assert np.abs(h @ coeffs - w).max() <= 1e-8

@@ -9,12 +9,12 @@ from deepckit.matlib import numeric_rank
 class TestStepLinear:
     def test_identity_plant(self):
         plant = plants.LinearPlant(a=np.eye(2), b=np.eye(2), c=np.eye(2), d=np.zeros((2, 2)))
-        x_next, y = plants.step_linear(plant, [0.0, 0.0], [1.0, 0.0])
+        x_next, y = plant.step([0.0, 0.0], [1.0, 0.0])
         np.testing.assert_array_equal(x_next, [1.0, 0.0])
         np.testing.assert_array_equal(y, [0.0, 0.0])
 
     def test_equilibrium(self, small_plant):
-        x_next, y = plants.step_linear(small_plant, [0.0, 0.0], [0.0])
+        x_next, y = small_plant.step([0.0, 0.0], [0.0])
         np.testing.assert_array_equal(x_next, [0.0, 0.0])
         np.testing.assert_array_equal(y, [0.0])
 
@@ -22,33 +22,33 @@ class TestStepLinear:
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal(2)
         u = rng.standard_normal((2, 1))
-        x1, y0 = plants.step_linear(small_plant, x0, u[0])
-        _, y1 = plants.step_linear(small_plant, x1, u[1])
-        y_seq = plants.simulate_linear(small_plant, x0, u)
+        x1, y0 = small_plant.step(x0, u[0])
+        _, y1 = small_plant.step(x1, u[1])
+        y_seq, _ = plants.rollout(small_plant, x0, u)
         np.testing.assert_allclose(y_seq, np.vstack([y0, y1]))
 
     def test_dimension_mismatch(self, small_plant):
         with pytest.raises(ValueError):
-            plants.step_linear(small_plant, [0.0, 0.0, 0.0], [0.0])
+            small_plant.step([0.0, 0.0, 0.0], [0.0])
 
 
 class TestSimulateLinear:
     def test_k1_reduces_to_step(self, small_plant):
         x0 = np.array([0.3, -0.2])
-        _, y = plants.step_linear(small_plant, x0, [0.5])
-        np.testing.assert_allclose(plants.simulate_linear(small_plant, x0, [[0.5]]), [y])
+        _, y = small_plant.step(x0, [0.5])
+        np.testing.assert_allclose(plants.rollout(small_plant, x0, [[0.5]])[0], [y])
 
     def test_zero_everything(self, small_plant):
-        y = plants.simulate_linear(small_plant, np.zeros(2), np.zeros((5, 1)))
+        y, _ = plants.rollout(small_plant, np.zeros(2), np.zeros((5, 1)))
         np.testing.assert_array_equal(y, np.zeros((5, 1)))
 
     def test_superposition(self, small_plant):
         rng = np.random.default_rng(1)
         u1 = rng.standard_normal((6, 1))
         u2 = rng.standard_normal((6, 1))
-        y1 = plants.simulate_linear(small_plant, np.zeros(2), u1)
-        y2 = plants.simulate_linear(small_plant, np.zeros(2), u2)
-        y12 = plants.simulate_linear(small_plant, np.zeros(2), u1 + u2)
+        y1, _ = plants.rollout(small_plant, np.zeros(2), u1)
+        y2, _ = plants.rollout(small_plant, np.zeros(2), u2)
+        y12, _ = plants.rollout(small_plant, np.zeros(2), u1 + u2)
         np.testing.assert_allclose(y12, y1 + y2, atol=1e-12)
 
 
@@ -122,7 +122,7 @@ class TestLotkaVolterra:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2)
         u = rng.standard_normal()
-        x_next, y = plants.step_linear(lin, x, [u])
+        x_next, y = lin.step(x, [u])
         np.testing.assert_allclose(x_next, plants.lv_step(plant, x, u), atol=1e-14)
         np.testing.assert_allclose(y, x, atol=1e-14)
 
@@ -136,7 +136,7 @@ class TestCollectTrajectory:
         traj = plants.collect_trajectory(
             small_plant, 30, (np.array([-1.0]), np.array([1.0])), plants.NoiseSpec(0.0, 9)
         )
-        y_clean = plants.simulate_linear(small_plant, np.zeros(2), traj.u_d)
+        y_clean, _ = plants.rollout(small_plant, np.zeros(2), traj.u_d)
         np.testing.assert_array_equal(traj.y_d, y_clean)
 
     def test_seed_determinism(self, small_plant):

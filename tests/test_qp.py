@@ -157,14 +157,6 @@ class TestInvariants:
             x_ref = active_set_enumeration(prob)
             np.testing.assert_allclose(sol.z, x_ref, atol=1e-6)
 
-    def test_strict_convexity_uniqueness_from_two_starts(self):
-        rng = np.random.default_rng(7)
-        prob = random_box_qp(rng, 6)
-        tol = 1e-9
-        s1 = qp.solve(prob, tol=tol, x0=np.zeros(6))
-        s2 = qp.solve(prob, tol=tol, x0=rng.uniform(-1, 1, 6))
-        assert np.abs(s1.z - s2.z).max() <= 10 * np.sqrt(tol)
-
     def test_l1_split_complementarity(self):
         rng = np.random.default_rng(8)
         n = 5

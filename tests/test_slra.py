@@ -162,14 +162,7 @@ class TestIterativeSlra:
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            slra.iterative_slra(np.zeros((4, 5)), np.zeros((2, 6)), 1)
-
-    def test_block_inference_differing_channels(self):
-        # m=2 vs p=3 makes the shared depth unambiguous
-        h_u, h_y, h_y_clean = noisy_pair(seed=11, variance=0.0)
-        report = slra.iterative_slra(h_y_clean, h_u, 8, eps=1e-6)
-        rel = np.linalg.norm(report.h_y_star - h_y_clean) / np.linalg.norm(h_y_clean)
-        assert rel <= 1e-10
+            slra.iterative_slra(np.zeros((4, 5)), np.zeros((2, 6)), 1, block_size=2)
 
     def test_full_column_rank_input_single_pass(self):
         # the complement of h_u's row space is empty, so nothing is truncated

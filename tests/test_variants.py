@@ -14,7 +14,6 @@ from deepckit.plants import (
     NonlinearPlant,
     PlantDiverged,
     collect_trajectory,
-    step_linear,
     triple_mass_spring,
 )
 
@@ -231,7 +230,7 @@ class TestHybrid:
         lib, online, _ = small_instances["noisy"]
         spec_dd = make_spec(l1=0.0, l2=0.0, ly=100.0)
         dd = va.solve_dd_spc(va.build_spc_library(lib), online, spec_dd)
-        scale = bench._instance_scale(lib, online, spec_dd)
+        scale = bench.instance_scale(lib, online, spec_dd)
         spec3 = make_spec(l1=0.0, l2=1e3 * scale, ly=100.0)
         hyb = va.solve_hybrid(lib, online, spec3, tol=1e-11, max_iter=200, accept_tol=1e-7)
         assert deviation(hyb, dd, with_sigma=True) <= 1e-4
@@ -331,6 +330,18 @@ class TestClassicalSpc:
         sol = va.solve_classical_spc(lib, online0, spec)
         np.testing.assert_allclose(sol.u, 0.0, atol=1e-7)
         np.testing.assert_allclose(sol.sigma_y, 0.0, atol=1e-7)
+
+    def test_output_box_honoured_and_matches_ddspc(self, small_plant):
+        # the box binds: unbounded, this instance predicts max |y| of about 0.58
+        lib, online, _ = bench.make_instance(
+            small_plant, T=60, t_ini=4, n_horizon=8, noise_var=0.01,
+            u_lo=-1.0, u_hi=1.0, seed=3, x0_scale=2.0,
+        )
+        spec = replace(make_spec(ly=100.0, t_ini=4), y_box=(np.array([-0.2]), np.array([0.2])))
+        sp = va.solve_classical_spc(lib, online, spec)
+        dd = va.solve_dd_spc(va.build_spc_library(lib), online, spec)
+        assert np.abs(sp.y_pred).max() <= 0.2 + 1e-7
+        assert np.abs(sp.u - dd.u).max() <= 1e-6
 
 
 class TestSvdIter:
