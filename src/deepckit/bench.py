@@ -111,7 +111,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown variant '{name}'")
 
     def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
+        """A hash of what the run computes; ``out_dir``, which only says where
+        the run writes, is left out (``config.json`` still echoes it)."""
+        fields = asdict(self)
+        del fields["out_dir"]
+        blob = json.dumps(fields, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def echo(self, out_dir: Path) -> None:

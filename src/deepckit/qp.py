@@ -15,30 +15,36 @@ vector of slacks and one of duals, so each step length and update is one
 vector operation.  An iterate is accepted as optimal only when its residuals
 and the solution are finite.
 
-The Newton step is solved in the program's own structure where it has one.
-Each l1 pair (see below) folds back into one variable, and a separable
-variable (off the diagonal its row and column of P are zero, and it appears in
-exactly one equality row) is eliminated together with that row.  For the DeePC template this removes the
-slacks, the future inputs and their rows: at paper scale the iteration
-LU-factors a 165x165 matrix in place of the 506x506 KKT matrix.  Every reduced
-step is refined against the full KKT operator, applied as matrix-vector
-products with the dense block of the other variables plus the separable
-variables' diagonal entries and single coefficients, and is kept only when its componentwise backward error is at
-roundoff (1e-14).  Otherwise, and in programs without such structure, the step
-comes from an LU factorization of the dense KKT matrix.  Dense factorizations
+The Newton step is solved over the folded variables: each l1 pair (see
+below) folds back into one variable, and P and A are only ever held over the
+folded variables.  The residuals, the dual start and the certificate apply the
+lifted matrices as E P_f E' and A_f E' (E'x takes each pair's positive less
+its negative part), so no lifted matrix is formed.  A step is first taken with
+every separable variable (off the diagonal its row and column of P are zero,
+and it appears in exactly one equality row) eliminated together with that
+row.  For the DeePC template this removes the slacks, the future inputs and
+their rows: at paper scale the iteration LU-factors a 165x165 matrix, where
+the lifted KKT matrix is 506x506.  Every step is refined against the full KKT
+operator, applied as matrix-vector products with the dense block of the other
+variables plus the separable variables' diagonal entries and single
+coefficients, and the eliminated step is kept only when its componentwise
+backward error is at roundoff (1e-14).  Otherwise, and in programs without
+separable variables, the step comes from the folded matrix with nothing
+eliminated (349x349 at paper scale), refined under the same rule, whose
+regularization is raised until it yields a finite step.  Dense factorizations
 keep the solutions accurate enough to certify equivalence results to 1e-5 and
-tighter.  ``QpSolution.events`` counts the steps that fell back to the full
-matrix and the times its regularization had to be raised.
+tighter.  ``QpSolution.events`` counts the steps that fell back to the matrix
+with nothing eliminated and the times its regularization had to be raised.
 
 The l1 terms are handled exactly by splitting each weighted variable into a
 difference of nonnegative parts (z_i = a_i - b_i); at the optimum the split is
 complementary (a_i * b_i = O(tol)).  The two parts get the same scale, so P
-and A are equilibrated before they are lifted.  Infinite bounds are treated
-as absent constraints, never as large numbers.  One SVD of the scaled
-equality matrix, taken on the folded columns (the lifted matrix has the same
-singular values), gives the least-squares starting points, and its residual
-detects an inconsistent equality system up front, which is reported as
-Infeasible.
+and A are equilibrated over the folded variables.  Infinite bounds are treated
+as absent constraints, never as large numbers.  One SVD of the scaled folded
+equality matrix (it has the singular values of the lifted one once each l1
+column is scaled by sqrt(2)) gives the least-squares starting points, and its
+residual detects an inconsistent equality system up front, which is reported
+as Infeasible.
 
 Reported residuals are relative measures: `primal_residual` scales equality
 violations by 1 + |b| + |A z| per row, `dual_residual` scales stationarity by
@@ -164,10 +170,11 @@ def _new_events() -> dict:
 class QpSolution:
     """Solver output: primal point, objective, scaled residuals, and status.
 
-    ``events`` counts, over the whole solve, the Newton steps whose reduced
-    form was not at roundoff and fell back to the full KKT matrix
-    (``reduced_step_fallbacks``) and the moves of the full matrix's
-    regularization to a higher level (``regularization_escalations``).
+    ``events`` counts, over the whole solve, the Newton steps whose form with
+    the separable variables eliminated was not at roundoff and fell back to
+    the folded matrix with nothing eliminated (``reduced_step_fallbacks``),
+    and the moves of that matrix's regularization to a higher level
+    (``regularization_escalations``).
     """
 
     z: np.ndarray
@@ -182,14 +189,18 @@ class QpSolution:
 
 
 def _push_interior(x, lo, hi):
-    """Move a point strictly inside its box (no-op for infinite bounds)."""
+    """Move a point strictly inside its box (no-op for infinite bounds).
+
+    A two-sided box keeps a margin of 0.1 * width + 1e-12, capped at a quarter
+    of the width: uncapped, a box narrower than about 6.7e-12 (after
+    equilibration) would be clipped to a point outside it."""
     x = x.copy()
     both = np.isfinite(lo) & np.isfinite(hi)
-    margin = np.zeros_like(x)
-    margin[both] = 0.1 * (hi[both] - lo[both]) + 1e-12
+    width = hi[both] - lo[both]
+    margin = np.minimum(0.1 * width + 1e-12, 0.25 * width)
     only_lo = np.isfinite(lo) & ~np.isfinite(hi)
     only_hi = ~np.isfinite(lo) & np.isfinite(hi)
-    x[both] = np.clip(x[both], lo[both] + margin[both], hi[both] - margin[both])
+    x[both] = np.clip(x[both], lo[both] + margin, hi[both] - margin)
     x[only_lo] = np.maximum(x[only_lo], lo[only_lo] + 1.0)
     x[only_hi] = np.minimum(x[only_hi], hi[only_hi] - 1.0)
     return x
@@ -224,22 +235,44 @@ class _Bounds:
         v[self.ju] += t[nl:]
 
 
-def _measure(P, q, A, b, bounds, x, y, z):
+def _fold(x, pos, sign=-1.0):
+    """E'x, the folded variables of a lifted vector: each l1 pair's positive
+    part plus ``sign`` times its negative part (``sign`` +1 gives |E'| x).
+    Without pairs E' is the identity and ``x`` itself is returned."""
+    if not pos.size:
+        return x
+    n = x.size - pos.size
+    v = x[:n].copy()
+    v[pos] += sign * x[n:]
+    return v
+
+
+def _unfold(v, pos, sign=-1.0):
+    """E v, a folded vector over the lifted variables: each negative part
+    takes ``sign`` times its pair's entry (``sign`` +1 gives |E| v).
+    Without pairs E is the identity and ``v`` itself is returned."""
+    return np.concatenate([v, sign * v[pos]]) if pos.size else v
+
+
+def _measure(st, q, b, bounds, x, y, z):
     """Scaled primal/dual/complementarity residuals at an iterate.
 
     Also returns the vectors they are built from, which the Newton step
     reuses: the gradient P x + q + A'y, the dual residual (that gradient less
     the bound duals), the equality residual A x - b and the bound slacks.
+    P x = E P_f E'x, A'y = E A_f'y and A x = A_f E'x are applied through the
+    folded matrices of the :class:`_Structure` ``st``.
     """
-    px = P @ x
-    aty = A.T @ y if A.shape[0] else np.zeros_like(x)
+    v = _fold(x, st.pos)
+    px = _unfold(st.p_fold @ v, st.pos)
+    aty = _unfold(st.a_fold.T @ y, st.pos)
     grad = px + q + aty
     rd = grad.copy()
     bounds.add(rd, -(bounds.sign * z))
     sd = 1.0 + np.abs(q) + np.abs(px) + np.abs(aty)
     bounds.add(sd, z)
     dual = float(np.max(np.abs(rd) / sd)) if rd.size else 0.0
-    ax = A @ x
+    ax = st.a_fold @ v
     rp = ax - b
     primal = float(np.max(np.abs(rp) / (1.0 + np.abs(b) + np.abs(ax)))) if rp.size else 0.0
     slack = bounds.slack(x)
@@ -256,70 +289,62 @@ def _merit(residuals):
     return max(residuals) if all(map(math.isfinite, residuals)) else math.inf
 
 
-# Static KKT regularization: variable i's diagonal gets +_SHIFT * (1 + |P_ii| +
-# D_i) and each equality row's -_SHIFT, times the escalation level in _BUMPS.
+# Static KKT regularization: folded variable i's diagonal gets
+# +_SHIFT * (1 + |P_ii| + D_i) and each equality row's -_SHIFT, times the
+# escalation level in _BUMPS.
 _SHIFT = 1e-12
 _BUMPS = (1.0, 1e3, 1e6)  # regularization escalation levels, tried in order
 
-# A reduced Newton step is kept when, after at most _REFINE_STEPS refinement
-# steps, every row of the full KKT system holds to this componentwise
-# relative backward error, |rhs - K w| <= tau * (|rhs| + |K| |w|); otherwise
-# the step is recomputed from the LU of the full matrix.
+# A Newton step is refined, at most _REFINE_STEPS times and only while that
+# helps, until every row of the full lifted KKT system holds to this
+# componentwise relative backward error, |rhs - K w| <= tau * (|rhs| + |K| |w|).
+# A step with the separable variables eliminated is kept only when it does;
+# otherwise the step is recomputed with nothing eliminated.
 _STEP_BACKWARD_ERROR = 1e-14
 _REFINE_STEPS = 3
+_TINY = np.finfo(float).tiny  # floor of the backward error's denominators
 
 
 class _Structure:
-    """What a lifted program's Newton steps can be reduced by; found once per solve.
+    """One solve's folded P and A, and what its Newton steps can be reduced by.
 
     * The l1 pairs of :func:`_lift_program`: lifted variable ``n + j`` is the
-      negative part of variable ``pos[j]``, so the lifted matrices are
-      P = E P_f E' and A = A_f E' with E' x = x[:n] - (x[n:] placed at
-      ``pos``).  A pair folds into the one variable E' x.
+      negative part of variable ``pos[j]``.  Only the folded P_f and A_f are
+      held; the lifted matrices are P = E P_f E' and A = A_f E', applied
+      through E'x = :func:`_fold` (x) and E v = :func:`_unfold` (v).
     * Separable variables: folded variables whose row and column of P_f are
       zero off the diagonal and that appear in exactly one equality row.  Each
-      is eliminated together with its row.
-
-    :meth:`of` returns None when the program has neither, so that its steps
-    go straight to the full LU.
+      can be eliminated together with its row.
     """
 
     def __init__(self, P, A, idx_l1):
-        n = P.shape[0] - idx_l1.size
+        n = P.shape[0]
         self.n, self.me = n, A.shape[0]
         self.pos = idx_l1
         self.neg = n + np.arange(idx_l1.size)
-        self.p_fold = P[:n, :n]
-        self.a_fold = A[:, :n]
-        diag = np.diag(self.p_fold)
+        self.n_lift = n + idx_l1.size
+        self.p_fold, self.a_fold = P, A
+        diag = np.diag(P)
         # off the diagonal, a separable variable's row and column of P_f are
         # zero (the scaled P_f need not be bitwise symmetric)
         off_diagonal = (
-            np.count_nonzero(self.p_fold, axis=1) + np.count_nonzero(self.p_fold, axis=0)
-            - 2 * (diag != 0)
+            np.count_nonzero(P, axis=1) + np.count_nonzero(P, axis=0) - 2 * (diag != 0)
         )
-        self.sep = np.flatnonzero(
-            (off_diagonal == 0) & (np.count_nonzero(self.a_fold, axis=0) == 1)
-        )
-        self.sep_row = np.nonzero(self.a_fold[:, self.sep].T)[1]  # one nonzero each
-        self.sep_coef = self.a_fold[self.sep_row, self.sep]
+        self.sep = np.flatnonzero((off_diagonal == 0) & (np.count_nonzero(A, axis=0) == 1))
+        self.sep_row = np.nonzero(A[:, self.sep].T)[1]  # one nonzero each
+        self.sep_coef = A[self.sep_row, self.sep]
         self.sep_curv = diag[self.sep]
         # K w in two parts: the dense block of the other folded variables, and
         # the separable variables' diagonal entries and single coefficients
         self.dense = np.setdiff1d(np.arange(n), self.sep, assume_unique=True)
-        p_dense = self.p_fold[np.ix_(self.dense, self.dense)]
-        a_dense = self.a_fold[:, self.dense]
+        p_dense = P[np.ix_(self.dense, self.dense)]
+        a_dense = A[:, self.dense]
         self._blocks = {
             False: (p_dense, a_dense, self.sep_curv, self.sep_coef, -1.0),
             True: (np.abs(p_dense), np.abs(a_dense), np.abs(self.sep_curv),
                    np.abs(self.sep_coef), 1.0),
         }
         self._partitions = {}
-
-    @classmethod
-    def of(cls, P, A, idx_l1):
-        st = cls(P, A, idx_l1)
-        return st if st.pos.size or st.sep.size else None
 
     def partition(self, elim):
         """Kept variables, eliminated rows, kept rows and the matrix blocks they
@@ -341,63 +366,110 @@ class _Structure:
     def product(self, diag_term, dx, dy, absolute=False):
         """K w for the lifted KKT matrix with barrier diagonal ``diag_term``
         and w = (dx, dy); with ``absolute``, |K| w instead."""
-        n = self.n
         p, a, p_sep, a_sep, sign = self._blocks[absolute]
-        v = dx[:n].copy()
-        v[self.pos] += sign * dx[self.neg]
-        v_dense, v_sep = v[self.dense], v[self.sep]
-        top_fold = np.empty(n)
+        v = _fold(dx, self.pos, sign)
+        v_dense = v[self.dense]
+        top_fold = np.empty(self.n)
         top_fold[self.dense] = p @ v_dense + a.T @ dy
-        top_fold[self.sep] = p_sep * v_sep + a_sep * dy[self.sep_row]
-        eq = a @ v_dense + np.bincount(self.sep_row, a_sep * v_sep, minlength=self.me)
-        top = diag_term * dx
-        top[:n] += top_fold
-        top[n:] += sign * top_fold[self.pos]
-        return np.concatenate([top, eq])
+        eq = a @ v_dense
+        if self.sep.size:
+            v_sep = v[self.sep]
+            top_fold[self.sep] = p_sep * v_sep + a_sep * dy[self.sep_row]
+            eq += np.bincount(self.sep_row, a_sep * v_sep, minlength=self.me)
+        return np.concatenate([diag_term * dx + _unfold(top_fold, self.pos, sign), eq])
 
 
-class _ReducedStep:
-    """One iterate's Newton step with the l1 pairs folded and separable variables eliminated.
+class _Kkt:
+    """The Newton system of one iterate, solved with the l1 pairs folded.
 
     A pair with barrier diagonals D+ and D- folds to one variable with the
-    diagonal D+ D- / (D+ + D-).  A separable variable s with curvature
-    H_s = P_ss + D_s > 0 and coefficient a_s in row r is eliminated with that
-    row, which adds a_r' a_r / c_r to the kept block, where a_r is the row on
-    the kept variables and c_r = sum of a_s^2 / H_s over the row's separable
-    variables.  A row holding a separable variable with H_s = 0 is kept, with
-    its separable variables.  The remaining matrix gets the full matrix's
-    first regularization level on its kept variables (scaled by each one's
-    own curvature, not by the rank-one terms) and on its kept rows, so that a
-    singular block, such as non-unique g, still yields a bounded step.  It
-    is LU-factored once, and every step is refined against the full lifted
-    unregularized operator, applied through :meth:`_Structure.product`.
+    diagonal D+ D- / (D+ + D-).  Each right-hand side is first solved with the
+    separable variables eliminated (when the iterate allows any; see
+    :class:`_FoldedStep`).  The first such step whose backward error is not at
+    roundoff falls back, for the rest of this iterate, to the folded matrix
+    with nothing eliminated, and is counted in ``events``.  That matrix's
+    regularization is raised through ``_BUMPS`` until a step is finite, and
+    each move to a higher level is counted in ``events``.  A matrix is
+    factored the first time a right-hand side needs it, so every solve
+    against it (predictor, corrector, their refinement steps) shares one LU.
     """
 
-    def __init__(self, st: _Structure, diag_term):
-        self.st, self.diag = st, diag_term
+    def __init__(self, st: _Structure, diag_term, events):
+        self.st, self.diag, self._events = st, diag_term, events
         self.d_pos, self.d_neg = diag_term[st.pos], diag_term[st.neg]
         self.d_fold = diag_term[: st.n].copy()
         with np.errstate(all="ignore"):  # a non-finite entry voids the factorization
             self.d_fold[st.pos] = self.d_pos * self.d_neg / (self.d_pos + self.d_neg)
-        curv = st.sep_curv + self.d_fold[st.sep]
-        elim = curv > 0.0
+        # a separable variable with no curvature cannot be eliminated, and
+        # neither can the others in its row
+        self.sep_curv = st.sep_curv + self.d_fold[st.sep]
+        elim = self.sep_curv > 0.0
         if not elim.all():
             elim &= ~np.isin(st.sep_row, st.sep_row[~elim])
+        self._reduced = _FoldedStep(self, elim, _BUMPS[0]) if elim.any() else None
+        self._full = {}  # bump -> the _FoldedStep with nothing eliminated
+
+    def solve(self, rhs):
+        """Solve K w = rhs: the step with the separable variables eliminated
+        if it holds, else the first regularization level of the matrix with
+        nothing eliminated that yields a finite step."""
+        if not np.isfinite(rhs).all():
+            raise np.linalg.LinAlgError("non-finite KKT right-hand side")
+        if self._reduced is not None:
+            w, omega = self._reduced.solve(rhs)
+            if omega <= _STEP_BACKWARD_ERROR:
+                return w
+            self._reduced = None
+            self._events["reduced_step_fallbacks"] += 1
+        for level, bump in enumerate(_BUMPS):
+            if level:
+                self._events["regularization_escalations"] += 1
+            if bump not in self._full:
+                self._full[bump] = _FoldedStep(self, np.zeros(self.st.sep.size, bool), bump)
+            w, omega = self._full[bump].solve(rhs)
+            if math.isfinite(omega):
+                return w
+        raise np.linalg.LinAlgError("KKT system could not be factorized")
+
+
+class _FoldedStep:
+    """The LU-factored Newton matrix of one iterate over the folded variables,
+    with the separable variables selected by the mask ``elim`` eliminated.
+
+    A separable variable s with curvature H_s = P_ss + D_s > 0 and coefficient
+    a_s in row r is eliminated with that row, which adds a_r' a_r / c_r to the
+    kept block, where a_r is the row on the kept variables and c_r = sum of
+    a_s^2 / H_s over the row's eliminated variables.  The remaining matrix
+    gets the regularization level ``bump`` on its kept variables (scaled by
+    each one's own curvature, not by the rank-one terms) and on its kept rows,
+    so that a singular block, such as non-unique g, still yields a bounded
+    step.  Every step is refined against the full lifted unregularized
+    operator, applied through :meth:`_Structure.product`.
+    """
+
+    def __init__(self, kkt: _Kkt, elim, bump):
+        # the iterate's arrays, not ``kkt`` itself: a reference cycle would
+        # keep every iterate's LU factors alive until the cyclic collector ran
+        st = self.st = kkt.st
+        self.diag, self.d_fold = kkt.diag, kkt.d_fold
+        self.d_pos, self.d_neg = kkt.d_pos, kkt.d_neg
         self.keep, self.rows, self.keep_rows, p_keep, self.a_elim, a_keep = st.partition(elim)
         self.sep, self.sep_row = st.sep[elim], st.sep_row[elim]
-        self.sep_coef, self.sep_curv = st.sep_coef[elim], curv[elim]
-        with np.errstate(all="ignore"):
-            c_row = np.bincount(
-                self.sep_row, weights=self.sep_coef**2 / self.sep_curv, minlength=st.me
-            )
-            self.inv_c = 1.0 / c_row[self.rows]
-            r, k = self.keep.size, self.keep_rows.size
-            m = np.zeros((r + k, r + k))
-            m[:r, :r] = p_keep + (self.a_elim.T * self.inv_c) @ self.a_elim
-        m[np.arange(r), np.arange(r)] += self.d_fold[self.keep] + _SHIFT * (
-            1.0 + np.abs(np.diag(p_keep)) + self.d_fold[self.keep]
-        )
-        m[np.arange(r, r + k), np.arange(r, r + k)] = -_SHIFT
+        self.sep_coef, self.sep_curv = st.sep_coef[elim], kkt.sep_curv[elim]
+        r, k = self.keep.size, self.keep_rows.size
+        m = np.zeros((r + k, r + k))
+        m[:r, :r] = p_keep
+        if self.rows.size:
+            with np.errstate(all="ignore"):
+                c_row = np.bincount(
+                    self.sep_row, weights=self.sep_coef**2 / self.sep_curv, minlength=st.me
+                )
+                self.inv_c = 1.0 / c_row[self.rows]
+                m[:r, :r] += (self.a_elim.T * self.inv_c) @ self.a_elim
+        d_keep = self.d_fold[self.keep]
+        diagonal = m.reshape(-1)[:: r + k + 1]  # a view
+        diagonal[:r] += d_keep + _SHIFT * bump * (1.0 + np.abs(np.diag(p_keep)) + d_keep)
+        diagonal[r:] = -_SHIFT * bump
         m[:r, r:] = a_keep.T
         m[r:, :r] = a_keep
         self._lu = self._factor(m)
@@ -415,28 +487,34 @@ class _ReducedStep:
                 return None
 
     def _apply(self, rhs):
-        """One unrefined reduced solve of K w = rhs."""
+        """One unrefined solve of K w = rhs."""
         st = self.st
-        n, n_lift = st.n, st.n + st.pos.size
+        n, n_lift, r = st.n, st.n_lift, self.keep.size
         rx, ry = rhs[:n_lift], rhs[n_lift:]
-        da, db = self.d_pos, self.d_neg
-        ra, rb = rx[st.pos], rx[st.neg]
         rv = rx[:n].copy()
-        rv[st.pos] = (db * ra - da * rb) / (da + db)
-        t = np.bincount(
-            self.sep_row, weights=self.sep_coef * rv[self.sep] / self.sep_curv,
-            minlength=st.me,
-        )
-        s_elim = (t[self.rows] - ry[self.rows]) * self.inv_c
-        b = np.concatenate([rv[self.keep] - self.a_elim.T @ s_elim, ry[self.keep_rows]])
-        b = scipy.linalg.lu_solve(self._lu, b, check_finite=False)
-        r = self.keep.size
+        if st.pos.size:  # each pair's two rows fold into one
+            da, db = self.d_pos, self.d_neg
+            ra, rb = rx[st.pos], rx[st.neg]
+            rv[st.pos] = (db * ra - da * rb) / (da + db)
+        b = np.concatenate([rv[self.keep], ry[self.keep_rows]])
+        if self.rows.size:  # the eliminated variables' rows, in terms of the kept ones
+            t = np.bincount(
+                self.sep_row, weights=self.sep_coef * rv[self.sep] / self.sep_curv,
+                minlength=st.me,
+            )
+            s_elim = (t[self.rows] - ry[self.rows]) * self.inv_c
+            b[:r] -= self.a_elim.T @ s_elim
+        if b.size:  # LAPACK's solve direct: lu_solve's checks cost more than the solve
+            b = scipy.linalg.lapack.dgetrs(*self._lu, b)[0]
         v = np.empty(n)
         v[self.keep] = b[:r]
         dy = np.empty(st.me)
         dy[self.keep_rows] = b[r:]
-        dy[self.rows] = (self.a_elim @ b[:r]) * self.inv_c + s_elim
-        v[self.sep] = (rv[self.sep] - self.sep_coef * dy[self.sep_row]) / self.sep_curv
+        if self.rows.size:
+            dy[self.rows] = (self.a_elim @ b[:r]) * self.inv_c + s_elim
+            v[self.sep] = (rv[self.sep] - self.sep_coef * dy[self.sep_row]) / self.sep_curv
+        if not st.pos.size:
+            return np.concatenate([v, dy])
         coupling = rv[st.pos] - self.d_fold[st.pos] * v[st.pos]
         dx = np.empty(n_lift)
         dx[:n] = v
@@ -446,17 +524,18 @@ class _ReducedStep:
 
     def _residual(self, rhs, w):
         """Residual against the full operator and its componentwise backward error."""
-        n_lift = self.st.n + self.st.pos.size
-        dx, dy = w[:n_lift], w[n_lift:]
-        res = rhs - self.st.product(self.diag, dx, dy)
-        scale = np.abs(rhs) + self.st.product(self.diag, np.abs(dx), np.abs(dy), absolute=True)
-        return res, float(np.max(np.abs(res) / np.maximum(scale, np.finfo(float).tiny)))
+        st, diag, n = self.st, self.diag, self.st.n_lift
+        aw = np.abs(w)
+        res = rhs - st.product(diag, w[:n], w[n:])
+        scale = np.abs(rhs) + st.product(diag, aw[:n], aw[n:], absolute=True)
+        return res, float((np.abs(res) / np.maximum(scale, _TINY)).max())
 
     def solve(self, rhs):
-        """The refined reduced step, or None when it does not hold at roundoff."""
+        """The refined step and its backward error; (None, inf) when the
+        factorization failed, and a non-finite error when the step is not finite."""
         if self._lu is None:
-            return None
-        with np.errstate(all="ignore"):  # a non-finite step fails the test below
+            return None, math.inf
+        with np.errstate(all="ignore"):  # a non-finite step gets a non-finite error
             w = self._apply(rhs)
             res, omega = self._residual(rhs, w)
             for _ in range(_REFINE_STEPS):
@@ -467,97 +546,7 @@ class _ReducedStep:
                 if not omega_try < omega:
                     break
                 w, res, omega = w_try, res_try, omega_try
-        return w if omega <= _STEP_BACKWARD_ERROR else None
-
-
-class _Kkt:
-    """The lifted KKT matrix of one iterate.
-
-    With a :class:`_Structure`, each right-hand side is first solved by the
-    :class:`_ReducedStep`.  The first step that is not at roundoff falls back
-    to the LU of the full matrix for the rest of this iterate, and is counted
-    in ``events``.
-
-    The full matrix gets a static diagonal regularization scaled to each
-    variable's own curvature plus iterative refinement against the
-    unregularized matrix, so singular KKT systems (non-unique optimizers)
-    still yield accurate steps.  A regularization level is factored the first
-    time a right-hand side needs it and the factorization is cached, so every
-    solve against this matrix (predictor, corrector, their refinement steps)
-    shares one LU.  Each move to a higher level is counted in ``events``.
-    """
-
-    def __init__(self, P, diag_term, A, events, structure=None):
-        self._parts = (P, diag_term, A)
-        self._events = events
-        self._reduced = None if structure is None else _ReducedStep(structure, diag_term)
-        self.k0 = None
-        self._lu = {}  # bump -> LU factors, or None when factorization failed
-
-    def _build(self):
-        P, diag_term, A = self._parts
-        n = P.shape[0]
-        me = A.shape[0]
-        dim = n + me
-        k0 = np.zeros((dim, dim))
-        k0[:n, :n] = P
-        k0[np.arange(n), np.arange(n)] += diag_term
-        if me:
-            k0[:n, n:] = A.T
-            k0[n:, :n] = A
-        self.k0 = k0
-        self._shift = np.zeros(dim)
-        self._shift[:n] = _SHIFT * (1.0 + np.abs(np.diag(P)) + diag_term)
-        self._shift[n:] = -_SHIFT
-
-    def _factor(self, bump):
-        if bump not in self._lu:
-            kr = self.k0.copy()
-            kr[np.diag_indices_from(kr)] += self._shift * bump
-            try:
-                self._lu[bump] = scipy.linalg.lu_factor(kr, check_finite=False)
-            except (scipy.linalg.LinAlgError, ValueError):
-                self._lu[bump] = None
-        return self._lu[bump]
-
-    def solve(self, rhs):
-        """Solve K w = rhs: the reduced step if it holds, else the first
-        regularization level of the full LU that yields a finite step."""
-        if not np.isfinite(rhs).all():
-            raise np.linalg.LinAlgError("non-finite KKT right-hand side")
-        if self._reduced is not None:
-            w = self._reduced.solve(rhs)
-            if w is not None:
-                return w
-            self._reduced = None
-            self._events["reduced_step_fallbacks"] += 1
-        if self.k0 is None:
-            self._build()
-        k0 = self.k0
-        for level, bump in enumerate(_BUMPS):
-            if level:
-                self._events["regularization_escalations"] += 1
-            lu = self._factor(bump)
-            if lu is None:
-                continue
-            w = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-            if not np.isfinite(w).all():
-                continue
-            # refinement against the unregularized matrix, kept only if it helps
-            res = rhs - k0 @ w
-            best = float(np.linalg.norm(res, np.inf))
-            for _ in range(2):
-                if best <= 1e-14 * (1.0 + float(np.linalg.norm(rhs, np.inf))):
-                    break
-                w_try = w + scipy.linalg.lu_solve(lu, res, check_finite=False)
-                res_try = rhs - k0 @ w_try
-                nres = float(np.linalg.norm(res_try, np.inf))
-                if np.isfinite(nres) and nres < best:
-                    w, res, best = w_try, res_try, nres
-                else:
-                    break
-            return w
-        raise np.linalg.LinAlgError("KKT system could not be factorized")
+        return w, omega
 
 
 def _safe_div(num, den):
@@ -575,12 +564,12 @@ def _max_step(v, dv):
     return float((-v[neg] / dv[neg]).min())
 
 
-def _ipm(P, q, A, b, lo, hi, tol, max_iter, x_start, lsq, structure, accept_tol=None):
+def _ipm(st, q, b, lo, hi, tol, max_iter, x_start, lsq, accept_tol=None):
     """Mehrotra predictor-corrector for box- and equality-constrained QPs.
 
-    Starts from ``x_start``; ``lsq`` is the equality matrix's :class:`_LeastSquares`
-    (None when there are no equalities) and ``structure`` the program's
-    :class:`_Structure` (or None).  Iterates toward ``tol``; if progress
+    ``st`` is the program's :class:`_Structure`, which holds P and A.  Starts
+    from ``x_start``; ``lsq`` is the equality matrix's :class:`_LeastSquares`
+    (None when there are no equalities).  Iterates toward ``tol``; if progress
     stalls first (conditioning floor), the best iterate seen is returned and
     judged against ``accept_tol``.  Returns the iterate with the stacked bound
     duals, the iteration count, the status, the residuals and the solver's
@@ -588,7 +577,6 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x_start, lsq, structure, accept_tol=
     """
     accept_tol = tol if accept_tol is None else max(tol, accept_tol)
     n = q.size
-    me = A.shape[0]
     bounds = _Bounds(lo, hi)
     nb = bounds.size
     events = _new_events()
@@ -596,15 +584,15 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x_start, lsq, structure, accept_tol=
     x = _push_interior(x_start, lo, hi)
     # dual start near the least-squares stationary point; bound duals pick up
     # the scale of the gradient so l1-split weights do not derail early steps
-    grad = P @ x + q
-    y = lsq.solve_transpose(-grad) if me else np.zeros(0)
-    resid = grad + (A.T @ y if me else 0.0)
+    grad = _unfold(st.p_fold @ _fold(x, st.pos), st.pos) + q
+    y = np.zeros(0) if lsq is None else lsq.solve_transpose(-grad)
+    resid = grad + _unfold(st.a_fold.T @ y, st.pos)
     z = np.maximum(1.0, bounds.sign * resid[bounds.idx])
-    residuals, (grad, rd, rp, slack) = _measure(P, q, A, b, bounds, x, y, z)
+    residuals, (grad, rd, rp, slack) = _measure(st, q, b, bounds, x, y, z)
 
     if nb == 0:
         # Equality-constrained QP: Newton is exact, polish a few times.
-        kkt = _Kkt(P, np.zeros(n), A, events, structure)
+        kkt = _Kkt(st, np.zeros(n), events)
         iters = 0
         for _ in range(3):
             iters += 1
@@ -614,7 +602,7 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x_start, lsq, structure, accept_tol=
                 break
             x = x + w[:n]
             y = y + w[n:]
-            residuals, (_, rd, rp, _) = _measure(P, q, A, b, bounds, x, y, z)
+            residuals, (_, rd, rp, _) = _measure(st, q, b, bounds, x, y, z)
             if _merit(residuals) <= tol:
                 break
         status = QpStatus.OPTIMAL if _merit(residuals) <= accept_tol else QpStatus.MAX_ITERATIONS
@@ -639,7 +627,7 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x_start, lsq, structure, accept_tol=
         # cap the barrier ratios so pinned slacks cannot overflow the KKT
         diag = np.zeros(n)
         bounds.add(diag, np.minimum(z / s, 1e16))
-        kkt = _Kkt(P, diag, A, events, structure)
+        kkt = _Kkt(st, diag, events)
 
         # predictor (affine scaling) direction; ds is the bound slacks' step
         try:
@@ -673,7 +661,7 @@ def _ipm(P, q, A, b, lo, hi, tol, max_iter, x_start, lsq, structure, accept_tol=
         x = x + alpha_p * w[:n]
         y = y + alpha_d * w[n:]
         z = np.maximum(z + alpha_d * dz, 1e-300)
-        residuals, (grad, rd, rp, slack) = _measure(P, q, A, b, bounds, x, y, z)
+        residuals, (grad, rd, rp, slack) = _measure(st, q, b, bounds, x, y, z)
 
     merit, x, y, z, residuals = best
     status = QpStatus.OPTIMAL if merit <= accept_tol else QpStatus.MAX_ITERATIONS
@@ -684,30 +672,25 @@ def _equilibrate(P, q, A, b, lo, hi, idx_l1):
     """Diagonal variable/row scaling so column magnitudes are comparable.
 
     Takes the program as :func:`_lift_program` returns it: P and A over the
-    original variables, q, lo and hi lifted.  The two parts of an l1 variable
-    have the same diagonal in P and the same column norms in A, so they get
-    the same scale; P and A are scaled before :func:`_lift_matrices` lifts
-    them, which gives bit for bit the scaled lifted matrices.  The lifted
-    vectors are scaled as they are ((q + w) d is not q d + w d in floating
-    point).  Returns the scaled lifted system plus the column scale d
-    (z = d * x_scaled) and the row scale r; the transformation is exact, so
-    the solution is mapped back without loss.
+    folded variables, q, lo and hi lifted.  The two parts of an l1 variable
+    have the same diagonal in the lifted P and the same column norms in the
+    lifted A, so they get the same scale: lifting the scaled P and A would
+    give bit for bit the scaled lifted matrices.  The lifted vectors
+    are scaled as they are ((q + w) d is not q d + w d in floating point).
+    Returns the scaled system, P and A still folded, plus the column scale d
+    over the lifted variables (z = d * x_scaled) and the row scale r; the
+    transformation is exact, so the solution is mapped back without loss.
     """
     base = np.sqrt(np.abs(np.diag(P)))
-    alt = np.abs(A).max(axis=0) if A.shape[0] else np.zeros_like(base)
+    alt = np.abs(A).max(axis=0, initial=0.0)
     ref = max(float(base.max(initial=0.0)), float(alt.max(initial=0.0)), 1.0)
     d = 1.0 / np.maximum(np.maximum(base, alt), 1e-6 * ref)
     P_s = (d[:, None] * P) * d[None, :]
-    if A.shape[0]:
-        A_s = A * d[None, :]
-        r = 1.0 / np.maximum(np.abs(A_s).max(axis=1), 1e-12)
-        A_s = r[:, None] * A_s
-        b_s = r * b
-    else:
-        A_s, b_s, r = A, b, np.zeros(0)
-    P_s, A_s = _lift_matrices(P_s, A_s, idx_l1)
+    A_s = A * d[None, :]
+    r = 1.0 / np.maximum(np.abs(A_s).max(axis=1, initial=0.0), 1e-12)
+    A_s = r[:, None] * A_s
     d = np.concatenate([d, d[idx_l1]])
-    return P_s, d * q, A_s, b_s, lo / d, hi / d, d, r
+    return P_s, d * q, A_s, r * b, lo / d, hi / d, d, r
 
 
 def _lift_program(prob: QuadProgram):
@@ -717,8 +700,8 @@ def _lift_program(prob: QuadProgram):
     variable is split into a positive part, which keeps its index, and a
     negative part appended after the original variables.  Returns
     (P, q, A, b, lo, hi, idx_l1) with q, lo and hi over the lifted variables;
-    P and A stay over the original ones: :func:`_equilibrate` scales them,
-    then lifts them.
+    P and A stay over the original variables, which are the folded ones: the
+    lifted matrices are never formed (see :class:`_Structure`).
     """
     n = prob.n_vars
     A = prob.a_eq
@@ -752,34 +735,13 @@ def _lift_program(prob: QuadProgram):
     return prob.p_mat, q, A, b, lo, hi, idx_l1
 
 
-def _lift_matrices(P, A, idx_l1):
-    """P and A over the lifted variables: the negative part of an l1 variable
-    enters with the negated column (and row) of its positive part."""
-    if idx_l1.size == 0:
-        return P, A
-    n, k = P.shape[0], idx_l1.size
-    P_l = np.empty((n + k, n + k))
-    P_l[:n, :n] = P
-    P_l[:n, n:] = -P[:, idx_l1]
-    P_l[n:, :n] = -P[idx_l1, :]
-    P_l[n:, n:] = P[np.ix_(idx_l1, idx_l1)]
-    return P_l, np.hstack([A, -A[:, idx_l1]])
-
-
-def _unlift(x, n, idx_l1):
-    """Original variables from lifted ones: each l1 variable is its positive minus negative part."""
-    z = x[:n].copy()
-    z[idx_l1] -= x[n:]
-    return z
-
-
 class _LeastSquares:
     """Minimum-norm least-squares solves with the lifted, scaled equality matrix.
 
-    The lifted matrix is A = B E, with B over the original variables and
-    E x = x[:n] - (x[n:] placed at ``pos``).  With h = 1, or sqrt(2) on an l1
-    variable, the rows of h^-1 E are orthonormal, so A = (B h)(h^-1 E) has the
-    singular values of B h and A^+ = E' h^-1 (B h)^+.  One SVD of B h, which
+    The lifted matrix is A = B E', with B over the folded variables and
+    E'x = :func:`_fold` (x).  With h = 1, or sqrt(2) on an l1 variable, the
+    rows of h^-1 E' are orthonormal, so A = (B h)(h^-1 E') has the singular
+    values of B h and A^+ = E h^-1 (B h)^+.  One SVD of B h, which
     has n columns and not n + k, serves every solve, with
     ``numpy.linalg.lstsq``'s default rank cut-off for A's shape.
     """
@@ -795,15 +757,11 @@ class _LeastSquares:
 
     def solve(self, rhs):
         """A^+ rhs, over the lifted variables."""
-        v = ((rhs @ self.u) / self.s) @ self.vt
-        return np.concatenate([v, -v[self.pos]])
+        return _unfold(((rhs @ self.u) / self.s) @ self.vt, self.pos)
 
     def solve_transpose(self, g):
         """(A^+)' g, for g over the lifted variables."""
-        n = self.vt.shape[1]
-        g_fold = g[:n].copy()
-        g_fold[self.pos] -= g[n:]
-        return self.u @ ((self.vt @ g_fold) / self.s)
+        return self.u @ ((self.vt @ _fold(g, self.pos)) / self.s)
 
 
 def solve(
@@ -830,7 +788,6 @@ def solve(
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
-    n = prob.n_vars
 
     P, q, A, b, lo, hi, idx_l1 = _lift_program(prob)
     P, q, A, b, lo, hi, d_scale, _r_scale = _equilibrate(P, q, A, b, lo, hi, idx_l1)
@@ -838,9 +795,9 @@ def solve(
     x_start = np.zeros(q.size)
     if A.shape[0]:
         # one SVD serves the feasibility test and both least-squares starts
-        lsq = _LeastSquares(A[:, :n], idx_l1)
+        lsq = _LeastSquares(A, idx_l1)
         x_start = lsq.solve(b)
-        z_ls = _unlift(d_scale * x_start, n, idx_l1)
+        z_ls = _fold(d_scale * x_start, idx_l1)
         res = float(np.max(np.abs(prob.a_eq @ z_ls - prob.b_eq), initial=0.0))
         if res > _FEAS_TOL * (1.0 + float(np.max(np.abs(prob.b_eq), initial=0.0))):
             z = np.clip(z_ls, prob.lower, prob.upper)
@@ -853,19 +810,18 @@ def solve(
                 iterations=0,
                 status=QpStatus.INFEASIBLE,
             )
+    st = _Structure(P, A, idx_l1)
     x, y, zb, iters, status, (primal, dual, gap), events = _ipm(
-        P, q, A, b, lo, hi, tol, max_iter, x_start, lsq,
-        _Structure.of(P, A, idx_l1), accept_tol,
+        st, q, b, lo, hi, tol, max_iter, x_start, lsq, accept_tol
     )
 
-    z = _unlift(d_scale * x, n, idx_l1)
+    z = _fold(d_scale * x, idx_l1)
     if status is QpStatus.OPTIMAL and not np.isfinite(z).all():
         status = QpStatus.MAX_ITERATIONS
     n_lower = np.count_nonzero(np.isfinite(lo))
     cert = {
         "x": x, "y": y, "zl": zb[:n_lower], "zu": zb[n_lower:],
-        "P": P, "q": q, "A": A, "b": b, "lo": lo, "hi": hi,
-        "idx_l1": idx_l1, "d_scale": d_scale,
+        "st": st, "q": q, "b": b, "lo": lo, "hi": hi, "d_scale": d_scale,
     }
     return QpSolution(
         z=z,
@@ -886,7 +842,7 @@ def kkt_residuals(sol: QpSolution) -> tuple[float, float, float]:
     if c is None:
         raise ValueError("solution carries no certificate")
     return _measure(
-        c["P"], c["q"], c["A"], c["b"], _Bounds(c["lo"], c["hi"]),
+        c["st"], c["q"], c["b"], _Bounds(c["lo"], c["hi"]),
         c["x"], c["y"], np.concatenate([c["zl"], c["zu"]]),
     )[0]
 
@@ -894,11 +850,10 @@ def kkt_residuals(sol: QpSolution) -> tuple[float, float, float]:
 def split_parts(sol: QpSolution) -> tuple[np.ndarray, np.ndarray]:
     """Positive/negative parts of the l1-split variables at the optimum."""
     c = sol._cert
-    if c is None or c["idx_l1"].size == 0:
+    if c is None or c["st"].pos.size == 0:
         raise ValueError("solution has no l1-split variables")
-    idx = c["idx_l1"]
-    x_orig = c["d_scale"] * c["x"]
-    return x_orig[idx].copy(), x_orig[c["q"].size - idx.size :].copy()
+    st, x_orig = c["st"], c["d_scale"] * c["x"]
+    return x_orig[st.pos], x_orig[st.neg]
 
 
 def _tile_bound(vec, total: int) -> np.ndarray:

@@ -8,6 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+import scipy.linalg  # noqa: E402
 
 from deepckit.plants import LinearPlant  # noqa: E402
 
@@ -21,6 +22,20 @@ def small_plant():
         c=[[1.0, 0.0]],
         d=[[0.0]],
     )
+
+
+@pytest.fixture
+def lu_sizes(monkeypatch):
+    """Orders of the matrices passed to scipy.linalg.lu_factor."""
+    sizes = []
+    original = scipy.linalg.lu_factor
+
+    def spy(*args, **kwargs):
+        sizes.append(args[0].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+    return sizes
 
 
 def random_matrix(rng, rows, cols, rank=None):

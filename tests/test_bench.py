@@ -52,6 +52,15 @@ class TestConfig:
         assert cfg.config_hash() == fast_config(tmp_path).config_hash()
         assert cfg.config_hash() != fast_config(tmp_path, seed=1).config_hash()
 
+    def test_hash_ignores_out_dir(self, tmp_path):
+        # two checkouts writing the same run to different places get one hash
+        cfg = fast_config(tmp_path)
+        moved = replace(cfg, out_dir=str(tmp_path / "elsewhere"))
+        assert moved.config_hash() == cfg.config_hash()
+        moved.echo(tmp_path / "echo")
+        data = json.loads((tmp_path / "echo" / "config.json").read_text())
+        assert data["out_dir"] == moved.out_dir
+
 
 class TestMakeInstance:
     def test_deterministic(self, small_plant):

@@ -230,20 +230,6 @@ class TestFactorizationCount:
         assert len(lu_calls) == 1
 
 
-@pytest.fixture
-def lu_sizes(monkeypatch):
-    """Orders of the matrices passed to scipy.linalg.lu_factor."""
-    sizes = []
-    original = scipy.linalg.lu_factor
-
-    def spy(*args, **kwargs):
-        sizes.append(args[0].shape[0])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
-    return sizes
-
-
 def deepc_shaped_program(rng, *, l1=True, rows=True, diagonal_r=True,
                          curved_slack=True, shared_row=False):
     """A QP shaped like the DeePC template: 12 dense g (l1-weighted), 3 slacks
@@ -277,8 +263,52 @@ def deepc_shaped_program(rng, *, l1=True, rows=True, diagonal_r=True,
     )
 
 
+def lift_matrices(P, A, idx_l1):
+    """P and A over the lifted variables: the negative part of an l1 variable
+    enters with the negated column (and row) of its positive part."""
+    n, k = P.shape[0], idx_l1.size
+    P_l = np.empty((n + k, n + k))
+    P_l[:n, :n] = P
+    P_l[:n, n:] = -P[:, idx_l1]
+    P_l[n:, :n] = -P[idx_l1, :]
+    P_l[n:, n:] = P[np.ix_(idx_l1, idx_l1)]
+    return P_l, np.hstack([A, -A[:, idx_l1]])
+
+
+def dense_lifted_kkt(P, diag, A, idx_l1):
+    """The lifted KKT matrix [[P_l + diag, A_l'], [A_l, 0]], formed densely
+    from the folded P and A."""
+    P_l, A_l = lift_matrices(P, A, idx_l1)
+    n, me = P_l.shape[0], A_l.shape[0]
+    kkt = np.zeros((n + me, n + me))
+    kkt[:n, :n] = P_l + np.diag(diag)
+    kkt[:n, n:] = A_l.T
+    kkt[n:, :n] = A_l
+    return kkt
+
+
+def dense_lifted_step(P, diag, A, idx_l1, rhs):
+    """Reference Newton step: the LU of the dense lifted KKT matrix with the
+    solver's first regularization level, refined against the unregularized
+    matrix while that helps."""
+    kkt = dense_lifted_kkt(P, diag, A, idx_l1)
+    n = diag.size
+    shift = np.full(kkt.shape[0], -1e-12)
+    shift[:n] = 1e-12 * (1.0 + np.abs(np.r_[np.diag(P), np.diag(P)[idx_l1]]) + diag)
+    lu = scipy.linalg.lu_factor(kkt + np.diag(shift))
+    w = scipy.linalg.lu_solve(lu, rhs)
+    res = rhs - kkt @ w
+    for _ in range(2):
+        w_try = w + scipy.linalg.lu_solve(lu, res)
+        res_try = rhs - kkt @ w_try
+        if not np.abs(res_try).max() < np.abs(res).max():
+            break
+        w, res = w_try, res_try
+    return w
+
+
 class TestReducedStep:
-    """The structured Newton step against the LU of the full lifted KKT matrix."""
+    """The structured Newton step against the LU of the dense lifted KKT matrix."""
 
     # keyword arguments of deepc_shaped_program, and the order of the reduced
     # matrix: the 12 folded g, plus kept variables and kept rows
@@ -299,20 +329,20 @@ class TestReducedStep:
         for _ in range(10):
             P, q, A, b, lo, hi, idx_l1 = qp._lift_program(deepc_shaped_program(rng, **kwargs))
             P, q, A, b, lo, hi, _d, _r = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)
-            structure = qp._Structure.of(P, A, idx_l1)
-            assert structure is not None
+            structure = qp._Structure(P, A, idx_l1)
+            assert structure.pos.size or structure.sep.size
             # barrier diagonals on the bounded variables, log-uniform up to d_max
             bounded = np.isfinite(lo).astype(float) + np.isfinite(hi)
             diag = bounded * 10.0 ** rng.uniform(-4.0, np.log10(d_max), q.size)
             rhs = rng.standard_normal(q.size + b.size)
             events = qp._new_events()
             lu_sizes.clear()
-            w_reduced = qp._Kkt(P, diag, A, events, structure).solve(rhs)
+            w_reduced = qp._Kkt(structure, diag, events).solve(rhs)
             assert lu_sizes[0] == order
             if d_max < 1e16:
                 assert events["reduced_step_fallbacks"] == 0
             assert len(lu_sizes) == 1 + events["reduced_step_fallbacks"]
-            w_lu = qp._Kkt(P, diag, A, qp._new_events()).solve(rhs)
+            w_lu = dense_lifted_step(P, diag, A, idx_l1, rhs)
             assert np.abs(w_reduced - w_lu).max() <= 1e-10 * np.abs(w_lu).max()
 
 
@@ -336,9 +366,11 @@ class TestFoldedSetup:
     def test_equilibrate_before_lift_is_bit_identical(self):
         for prob in self.programs(spread=True):
             P, q, A, b, lo, hi, idx_l1 = qp._lift_program(prob)
-            P_l, A_l = qp._lift_matrices(P, A, idx_l1)
+            P_l, A_l = lift_matrices(P, A, idx_l1)
             lifted_first = qp._equilibrate(P_l, q, A_l, b, lo, hi, np.zeros(0, dtype=int))
-            scaled_first = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)
+            P_s, q_s, A_s, *rest = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)
+            P_s, A_s = lift_matrices(P_s, A_s, idx_l1)
+            scaled_first = (P_s, q_s, A_s, *rest)
             for ref, got in zip(lifted_first, scaled_first):
                 np.testing.assert_array_equal(got, ref)
 
@@ -356,7 +388,8 @@ class TestFoldedSetup:
         for prob in self.programs(spread=False):
             P, q, A, b, lo, hi, idx_l1 = qp._lift_program(prob)
             A = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)[2]
-            self.assert_matches_lstsq(qp._LeastSquares(A[:, : prob.n_vars], idx_l1), A, rng)
+            A_l = lift_matrices(P, A, idx_l1)[1]
+            self.assert_matches_lstsq(qp._LeastSquares(A, idx_l1), A_l, rng)
 
     def test_start_rank_cut_off_is_the_lifted_one(self):
         # B h has singular values (1, 0.5, 0.2, s_min), and s_min lies between
@@ -381,21 +414,15 @@ class TestFoldedSetup:
 class TestStructureProduct:
     """K w and |K| |w| applied in parts, against the dense lifted KKT matrix."""
 
-    @staticmethod
-    def dense_kkt(P, diag, A):
-        kkt = qp._Kkt(P, diag, A, qp._new_events())
-        kkt._build()
-        return kkt.k0
-
     def test_matches_dense_matrix(self):
         rng = np.random.default_rng(8)
         for kwargs in ({}, dict(rows=False), dict(diagonal_r=False), dict(shared_row=True),
                        dict(l1=False)):
             P, q, A, b, lo, hi, idx_l1 = qp._lift_program(deepc_shaped_program(rng, **kwargs))
             P, q, A, b, lo, hi, _d, _r = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)
-            st = qp._Structure.of(P, A, idx_l1)
+            st = qp._Structure(P, A, idx_l1)
             diag = np.isfinite(lo) * rng.uniform(0.0, 1e4, q.size)
-            k0 = self.dense_kkt(P, diag, A)
+            k0 = dense_lifted_kkt(P, diag, A, idx_l1)
             dx, dy = rng.standard_normal(q.size), rng.standard_normal(b.size)
             w = np.concatenate([dx, dy])
             scale = np.abs(k0) @ np.abs(w)
@@ -408,12 +435,12 @@ class TestStructureProduct:
         # need not be bitwise symmetric): variable 1 must stay in the dense part
         P = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
         A = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
-        st = qp._Structure.of(P, A, np.zeros(0, dtype=int))
+        st = qp._Structure(P, A, np.zeros(0, dtype=int))
         assert st.sep.tolist() == [2]
         rng = np.random.default_rng(9)
         diag = rng.uniform(0.0, 1.0, 3)
         dx, dy = rng.standard_normal(3), rng.standard_normal(3)
-        k0 = self.dense_kkt(P, diag, A)
+        k0 = dense_lifted_kkt(P, diag, A, np.zeros(0, dtype=int))
         np.testing.assert_allclose(st.product(diag, dx, dy), k0 @ np.r_[dx, dy], rtol=1e-14)
 
 
@@ -421,13 +448,13 @@ class TestEvents:
     def test_reduced_step_fallback_counted(self, lu_sizes):
         # at tol 1e-11 the last iterates' barrier terms grow until one reduced
         # step is no longer at roundoff; that iterate is re-solved with the
-        # LU of the full lifted KKT matrix (31 variables + 9 rows)
+        # LU of the folded matrix with nothing eliminated (19 variables + 9 rows)
         prob = deepc_shaped_program(np.random.default_rng(1))
         sol = qp.solve(prob, tol=1e-11, max_iter=200, accept_tol=1e-9)
         assert sol.status is qp.QpStatus.OPTIMAL
         assert max(qp.kkt_residuals(sol)) <= 1e-9
         assert sol.events == {"reduced_step_fallbacks": 1, "regularization_escalations": 0}
-        assert sorted(lu_sizes) == [14] * sol.iterations + [40]
+        assert sorted(lu_sizes) == [14] * sol.iterations + [28]
 
     def test_regularization_escalations_counted(self):
         # P = 0 with a free variable: the KKT matrix is singular, and with a
@@ -461,6 +488,23 @@ class TestDegeneratePrograms:
         with np.errstate(all="ignore"):
             sol = qp.solve(prob)
         assert sol.status in (qp.QpStatus.OPTIMAL, qp.QpStatus.MAX_ITERATIONS)
+
+    def test_narrow_box_start_is_strictly_inside(self):
+        # scaled box widths of 1e-53..1e-130, as in the program above: a
+        # margin of a tenth of the width plus 1e-12 is more than half of it
+        width = 10.0 ** -np.arange(53.0, 131.0)
+        lo, hi = -0.3 * width, 0.7 * width
+        for x in (np.full(width.size, -1.0), np.zeros(width.size), np.full(width.size, 1.0)):
+            start = qp._push_interior(x, lo, hi)
+            assert np.all(lo < start) and np.all(start < hi)
+
+    def test_wide_box_start_is_unchanged(self):
+        lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([3.0, 1e-9, 2.5])
+        x = np.array([-5.0, 1.0, 2.25])
+        margin = 0.1 * (hi - lo) + 1e-12
+        np.testing.assert_array_equal(
+            qp._push_interior(x, lo, hi), np.clip(x, lo + margin, hi - margin)
+        )
 
     def test_equality_only_non_finite_step_is_typed(self):
         # the one feasible point is -4.7e71, where P z overflows: the second

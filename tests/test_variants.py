@@ -3,7 +3,6 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from deepckit import bench, qp
 from deepckit import variants as va
@@ -496,24 +495,39 @@ class TestStructuredNewtonStep:
     @pytest.mark.parametrize(
         "name, order", [("hybrid", 165), ("svd", 165), ("ddspc", 165), ("svd-iter", 104)]
     )
-    def test_reduced_kkt_order(self, paper_trial, monkeypatch, name, order):
+    def test_reduced_kkt_order(self, paper_trial, lu_sizes, name, order):
         cfg, plant, spec, instance = paper_trial
-        sizes = []
-        original = scipy.linalg.lu_factor
-
-        def spy(*args, **kwargs):
-            sizes.append(args[0].shape[0])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
         sol = bench._solve_variant(
             name, plant, instance, spec, cfg, {}, tol=1e-9, max_iter=150, accept_tol=1e-6
         ).solver
         assert sol.status is qp.QpStatus.OPTIMAL
-        assert sizes.count(order) == sol.iterations > 0
-        assert len(sizes) - sol.iterations == sol.events["reduced_step_fallbacks"]
+        assert lu_sizes.count(order) == sol.iterations > 0
+        assert len(lu_sizes) - sol.iterations == sol.events["reduced_step_fallbacks"]
         if name == "hybrid":
             assert sol.events == {"reduced_step_fallbacks": 0, "regularization_escalations": 0}
+
+    @pytest.mark.parametrize("name, orders", [("hybrid", [165, 349]), ("svd-iter", [104, 288])])
+    def test_forced_fallback(self, paper_trial, lu_sizes, monkeypatch, name, orders):
+        # with no backward error small enough, every iteration falls back from
+        # the reduced matrix to the folded one with nothing eliminated: 249
+        # folded variables (188 for svd-iter) plus 100 rows
+        cfg, plant, spec, instance = paper_trial
+        caches = {}
+        reference = bench._solve_variant(
+            name, plant, instance, spec, cfg, caches, tol=1e-9, max_iter=150, accept_tol=1e-6
+        )
+        lu_sizes.clear()
+        monkeypatch.setattr(qp, "_STEP_BACKWARD_ERROR", 0.0)
+        forced = bench._solve_variant(
+            name, plant, instance, spec, cfg, caches, tol=1e-9, max_iter=150, accept_tol=1e-6
+        )
+        sol = forced.solver
+        assert sol.status is qp.QpStatus.OPTIMAL
+        assert max(qp.kkt_residuals(sol)) <= 1e-6
+        assert sol.events == {"reduced_step_fallbacks": sol.iterations,
+                              "regularization_escalations": 0}
+        assert lu_sizes == orders * sol.iterations
+        assert np.abs(forced.u - reference.u).max() <= 1e-10
 
     def test_non_unique_coefficients(self):
         # basic DeePC on noise-free data: hard equalities, no l1 and no ridge,
