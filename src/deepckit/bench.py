@@ -24,7 +24,6 @@ import itertools
 import json
 import sys
 import time
-import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -229,11 +228,7 @@ def _solve_variant(name, plant, instance, spec, cfg, caches, **solve_opts):
     if key is not None and key not in caches:
         if variant.provenance == "slra-svd":  # the denoiser's order defaults to the plant's
             order = plant.n if cfg.slra_order is None else cfg.slra_order
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", message=va.SLRA_CAP_WARNING, category=RuntimeWarning
-                )
-                caches[key] = getattr(va, key)(lib, order, eps=cfg.slra_eps)
+            caches[key] = getattr(va, key)(lib, order, eps=cfg.slra_eps)
         else:
             caches[key] = getattr(va, key)(lib)
     return getattr(va, variant.solver)(caches.get(key, lib), online, spec, **solve_opts)

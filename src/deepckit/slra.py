@@ -13,6 +13,21 @@ matrix ``A.T A`` (the leading right singular vectors of ``A``), and replaces
 ``A N.T`` -- the part of ``H`` outside the row space -- by ``A V V.T N.T``.
 That is the same truncated-SVD step written for the subspace it touches, with
 no full SVD and no dense projector per pass.
+
+The loop is the fixed-point iteration of F = hankel_project o truncate, and
+:func:`iterative_slra` speeds it up with type-II Anderson acceleration (Walker
+& Ni, SIAM J. Numer. Anal. 2011) over the iterate's generating sequence: the
+p*(L + n_c - 1) samples of the exactly block-Hankel iterate, not the Hankel
+matrix itself.  Each pass evaluates F once.  The next point mixes the last
+``memory`` evaluations by least squares on their residual differences, solved
+with a QR of the difference matrix.  A safeguard (Zhang, O'Donoghue & Boyd,
+SIAM J. Optim. 2020) refuses an accelerated point whose residual
+||F(x) - x||_F exceeds the current one: it takes the plain step instead,
+clears the memory, and accelerates again only once plain steps have refilled
+it.  (Resuming at once can stall: where the kept and the first dropped
+singular values cross, short-memory points keep being refused and the plain
+steps between them make too little headway.)  ``memory=0`` is the plain
+alternating loop.
 """
 
 from __future__ import annotations
@@ -21,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .hankel import hankel_project
 from .matlib import DEFAULT_RANK_TOL, _as_matrix, rowspace_complement
@@ -35,6 +51,7 @@ class SlraReport:
     ``h_y_star`` is the final iterate after the Hankel projection, so it is
     exactly block-Hankel; at convergence it differs from the preceding
     range-truncation output by at most ``eps`` in relative Frobenius norm.
+    ``rel_changes`` holds that relative change for every pass.
     """
 
     h_y_star: np.ndarray
@@ -42,6 +59,7 @@ class SlraReport:
     final_rel_change: float
     converged: bool
     rel_changes: list[float] = field(default_factory=list)
+    rejected: int = 0  # accelerated points the safeguard refused
 
 
 def range_truncate(h_y, pi2, n_order: int) -> np.ndarray:
@@ -86,6 +104,83 @@ def _truncate(h: np.ndarray, basis: np.ndarray, n_order: int) -> np.ndarray:
     return h + (av[:, keep] @ v[:, keep].T - a) @ basis.T
 
 
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration over block-Hankel iterates.
+
+    A point is a generating sequence ``x`` (time-major, ``block_size``
+    samples per time step); its Hankel matrix is a strided view of ``x``.
+    The least squares weight every sample equally.  The safeguard measures a
+    residual ``F(x) - x`` by the Frobenius norm of its Hankel matrix, where
+    a sample counts once per entry of its anti-diagonal.
+    """
+
+    def __init__(self, memory: int, shape: tuple[int, int], block_size: int):
+        rows, n_cols = shape
+        depth = rows // block_size
+        n_diag = depth + n_cols - 1
+        k = np.arange(n_diag)
+        lengths = np.minimum(np.minimum(k + 1, n_diag - k), min(depth, n_cols))
+        self._weights = np.repeat(lengths.astype(float), block_size)
+        self._shape = shape
+        self._p = block_size
+        # ring buffers of the residual and map-value differences, one column each
+        self._dg = np.empty((n_diag * block_size, memory), order="F")
+        self._df = np.empty_like(self._dg)
+        self._filled = 0
+        self._slot = 0
+        self._x = None  # the point whose image the next call receives
+        self._last = None  # (F(x), F(x) - x, its norm) at the last accepted point
+        self._candidate = False  # whether ``_x`` is an accelerated point
+        self._refill = False  # after a restart, stay plain until the memory is full
+        self.rejected = 0
+
+    def step(self, h1: np.ndarray) -> np.ndarray:
+        """Take ``h1 = F(x)`` for the last point handed out; return the next one."""
+        p = self._p
+        f = np.concatenate([h1[:p].T.ravel(), h1[p:, -1]])
+        if self._x is None:  # the input need not be block-Hankel: no residual yet
+            return self._move(f)
+        g = f - self._x
+        norm = float(np.sqrt(g @ (self._weights * g)))
+        if self._candidate and not norm <= self._last[2]:
+            self.rejected += 1
+            self._restart()
+            return self._move(self._last[0])
+        if self._last is not None:
+            f_last, g_last, _ = self._last
+            self._dg[:, self._slot] = g - g_last
+            self._df[:, self._slot] = f - f_last
+            self._slot = (self._slot + 1) % self._dg.shape[1]
+            self._filled = min(self._filled + 1, self._dg.shape[1])
+        self._last = (f, g, norm)
+        n = self._filled
+        self._refill = self._refill and n < self._dg.shape[1]
+        if n == 0 or self._refill:
+            return self._move(f)
+        # one QR of [dG, g]: its last column above the diagonal is Q.T g
+        a = np.empty((g.size, n + 1), order="F")
+        a[:, :n] = self._dg[:, :n]
+        a[:, n] = g
+        qr = lapack.dgeqrf(a, overwrite_a=1)[0]
+        gamma, info = lapack.dtrtrs(qr[:n, :n], qr[:n, n])
+        if info:  # exactly rank-deficient differences
+            self._restart()
+            return self._move(f)
+        return self._move(f - self._df[:, :n] @ gamma, candidate=True)
+
+    def _restart(self) -> None:
+        """Clear the memory; plain steps refill it before the next accelerated one."""
+        self._filled = self._slot = 0
+        self._refill = True
+
+    def _move(self, x: np.ndarray, candidate: bool = False) -> np.ndarray:
+        """Hand out point ``x``: its block-Hankel matrix, entry (r, j) = ``x[r + p*j]``."""
+        self._x = x
+        self._candidate = candidate
+        strides = (x.itemsize, self._p * x.itemsize)
+        return np.ndarray(self._shape, x.dtype, buffer=x, strides=strides).copy()
+
+
 def iterative_slra(
     h_y,
     h_u,
@@ -94,6 +189,7 @@ def iterative_slra(
     max_iter: int = 200,
     *,
     block_size: int,
+    memory: int = 10,
 ) -> SlraReport:
     """Denoise an output Hankel while preserving its block-Hankel structure.
 
@@ -113,6 +209,8 @@ def iterative_slra(
         max_iter: pass limit; on exhaustion the last iterate is returned with
             ``converged=False``.
         block_size: output channels per Hankel block row.
+        memory: differences kept by the Anderson acceleration; ``0`` runs the
+            plain alternating loop.  The first two passes are plain either way.
     """
     h_y = _as_matrix(h_y, "h_y")
     h_u = _as_matrix(h_u, "h_u")
@@ -120,16 +218,19 @@ def iterative_slra(
         raise ValueError("h_u and h_y must have equal column counts")
     if eps <= 0.0 or max_iter < 1:
         raise ValueError("eps must be positive and max_iter >= 1")
+    if memory < 0:
+        raise ValueError("memory must be nonnegative")
     basis = rowspace_complement(h_u)
     if block_size < 1 or h_y.shape[0] % block_size:
         raise ValueError(f"block size {block_size} does not divide {h_y.shape[0]} rows")
-    h1 = h_y.copy()
+    accel = _Anderson(memory, h_y.shape, block_size) if memory else None
+    h = h_y
     rel_changes: list[float] = []
     converged = False
     iters = 0
     for _ in range(max_iter):
         iters += 1
-        h2 = _truncate(h1, basis, n_order)
+        h2 = _truncate(h, basis, n_order)
         h1 = hankel_project(h2, block_size)
         denom = float(np.linalg.norm(h1, "fro"))
         diff = float(np.linalg.norm(h1 - h2, "fro"))
@@ -138,10 +239,12 @@ def iterative_slra(
         if diff <= eps * denom:
             converged = True
             break
+        h = h1 if accel is None else accel.step(h1)
     return SlraReport(
         h_y_star=h1,
         iterations=iters,
         final_rel_change=rel_changes[-1] if rel_changes else 0.0,
         converged=converged,
         rel_changes=rel_changes,
+        rejected=0 if accel is None else accel.rejected,
     )

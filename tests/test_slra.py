@@ -196,6 +196,47 @@ class TestIterativeSlra:
         with pytest.raises(ValueError, match="n_order"):
             slra.iterative_slra(h_y, h_u, -1, block_size=3)
 
+    def test_negative_memory_rejected(self):
+        h_u, h_y, _ = noisy_pair(seed=15)
+        with pytest.raises(ValueError, match="memory"):
+            slra.iterative_slra(h_y, h_u, 8, block_size=3, memory=-1)
+
+
+class TestAcceleration:
+    @pytest.mark.parametrize("seed", [*range(1000, 1005), 2110, 2148])
+    def test_paper_scale_converges_within_cap(self, seed):
+        # the plain loop stops at the 200-pass cap on every one of these; on
+        # 2110 and 2148, resuming acceleration right after a refusal stalls
+        h_u, h_y, _ = noisy_pair(seed)
+        report = slra.iterative_slra(h_y, h_u, 8, eps=1e-6, max_iter=200, block_size=3)
+        assert report.converged
+        assert report.final_rel_change <= 1e-6
+        # exactly block-Hankel: each block equals its up-right neighbour bit for bit
+        blocks = report.h_y_star.reshape(-1, 3, h_y.shape[1])
+        np.testing.assert_array_equal(blocks[1:, :, :-1], blocks[:-1, :, 1:])
+
+    def test_first_two_passes_are_the_plain_loop(self):
+        h_u, h_y, _ = noisy_pair(seed=1000)
+        plain = slra.iterative_slra(h_y, h_u, 8, eps=1e-12, max_iter=2, block_size=3, memory=0)
+        fast = slra.iterative_slra(h_y, h_u, 8, eps=1e-12, max_iter=2, block_size=3)
+        np.testing.assert_array_equal(fast.h_y_star, plain.h_y_star)
+        assert fast.rel_changes == plain.rel_changes
+
+    def test_safeguard_rejection_counted(self, monkeypatch):
+        # with memory 1 the safeguard refuses accelerated points on this instance
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return hankel_project(*args, **kwargs)
+
+        monkeypatch.setattr(slra, "hankel_project", spy)
+        h_u, h_y, _ = noisy_pair(seed=1001)
+        report = slra.iterative_slra(h_y, h_u, 8, eps=1e-6, max_iter=200, block_size=3,
+                                     memory=1)
+        assert report.rejected >= 1
+        assert len(report.rel_changes) == report.iterations == len(calls)
+
 
 @pytest.mark.parametrize("n_order", [0, 2, 8, 10])
 @pytest.mark.parametrize("variance", [0.01, 0.0])
@@ -203,7 +244,8 @@ def test_matches_projector_loop(n_order, variance):
     h_u, h_y, _ = noisy_pair(seed=1000 + n_order, variance=variance)
     eps, max_iter = 1e-6, 25
     h_ref, rel_ref, conv_ref = reference_slra(h_y, h_u, n_order, eps, max_iter, 3)
-    report = slra.iterative_slra(h_y, h_u, n_order, eps=eps, max_iter=max_iter, block_size=3)
+    report = slra.iterative_slra(h_y, h_u, n_order, eps=eps, max_iter=max_iter, block_size=3,
+                                 memory=0)
     assert report.iterations == len(rel_ref)
     assert report.converged == conv_ref
     scale = np.linalg.norm(h_ref)
@@ -212,13 +254,14 @@ def test_matches_projector_loop(n_order, variance):
 
 
 def test_paper_scale_micro_benchmark(benchmark):
+    # one full default denoise, so the timing follows the passes it takes to converge
     h_u, h_y, _ = noisy_pair(seed=1000)
     report = benchmark.pedantic(
         slra.iterative_slra,
         args=(h_y, h_u, 8),
-        kwargs={"eps": 1e-6, "max_iter": 20, "block_size": 3},
+        kwargs={"eps": 1e-6, "max_iter": 200, "block_size": 3},
         rounds=3,
         iterations=1,
     )
-    assert report.iterations == 20
+    assert report.converged
     assert report.h_y_star.shape == h_y.shape
