@@ -108,6 +108,8 @@ class ExperimentConfig:
         for name in self.variants:
             if name not in VARIANT_CHOICES:
                 raise ValueError(f"unknown variant '{name}'")
+            if va.VARIANTS[name].slack and self.lambda_y <= 0.0:
+                raise ValueError(f"{name} variant requires lambda_y > 0")
 
     def config_hash(self) -> str:
         """A hash of what the run computes; ``out_dir``, which only says where

@@ -9,10 +9,14 @@ partition is a contiguous row split.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .matlib import DEFAULT_RANK_TOL, _as_matrix, numeric_rank
+
+if TYPE_CHECKING:  # slra imports this module
+    from .slra import SlraReport
 
 __all__ = [
     "Trajectory",
@@ -73,8 +77,12 @@ class HankelPartition:
 
     ``up``/``yp`` hold the first ``t_ini`` block rows (past window) and
     ``uf``/``yf`` the last ``n_horizon`` block rows (future window) of the
-    input and output Hankel matrices.  All blocks share the same column count
-    ``n_cols = T - (t_ini + n_horizon) + 1``.
+    input and output Hankel matrices.  All blocks share one column count,
+    ``n_cols = T - (t_ini + n_horizon) + 1`` for a raw library.
+
+    A pre-processing step returns a copy made with :func:`dataclasses.replace`
+    whose ``provenance`` names the step (``"raw"`` for the Hankel blocks
+    themselves) and, after the denoiser, whose ``slra`` holds its report.
     """
 
     up: np.ndarray
@@ -85,6 +93,8 @@ class HankelPartition:
     n_horizon: int
     m: int
     p: int
+    provenance: str = "raw"
+    slra: SlraReport | None = None
 
     @property
     def n_cols(self) -> int:
@@ -108,10 +118,21 @@ def build_block_hankel(signal, depth: int) -> np.ndarray:
     t_len, q = sig.shape
     if not 0 < depth < t_len:
         raise ValueError(f"depth must satisfy 0 < depth < T={t_len}, got {depth}")
-    n_cols = t_len - depth + 1
-    idx = np.arange(depth)[:, None] + np.arange(n_cols)[None, :]
-    # sig[idx] has shape (depth, n_cols, q); put channels next to the block index.
-    return sig[idx].transpose(0, 2, 1).reshape(depth * q, n_cols)
+    return _block_hankel(sig, q, depth)
+
+
+def _block_hankel(samples, q: int, depth: int) -> np.ndarray:
+    """The depth-``depth`` block-Hankel matrix of time-major samples, q per step.
+
+    With ``x`` the samples flattened, entry (r, j) is ``x[r + q*j]``: the
+    result is a strided view of ``x``, copied once.  Unlike
+    :func:`build_block_hankel` nothing is validated, so a one-column matrix
+    (depth = T) is allowed.
+    """
+    x = np.ascontiguousarray(samples, dtype=float).reshape(-1)
+    n_cols = x.size // q - depth + 1
+    strides = (x.itemsize, q * x.itemsize)
+    return np.lib.stride_tricks.as_strided(x, (q * depth, n_cols), strides).copy()
 
 
 def is_persistently_exciting(
@@ -167,17 +188,10 @@ def hankel_project(mat, block_size: int) -> np.ndarray:
         raise ValueError(
             f"row count {rows} is not divisible by block size {block_size}"
         )
-    depth = rows // block_size
-    blocks = arr.reshape(depth, block_size, n_cols)
-    diag_idx = (np.arange(depth)[:, None] + np.arange(n_cols)[None, :]).ravel()
-    n_diag = depth + n_cols - 1
-    counts = np.bincount(diag_idx, minlength=n_diag).astype(float)
-    out = np.empty_like(blocks)
-    for c in range(block_size):
-        sums = np.bincount(diag_idx, weights=blocks[:, c, :].ravel(), minlength=n_diag)
-        means = sums / counts
-        out[:, c, :] = means[diag_idx].reshape(depth, n_cols)
-    return out.reshape(rows, n_cols)
+    # entry (r, j) belongs to sample r + p*j of the generating sequence
+    idx = (np.arange(rows)[:, None] + block_size * np.arange(n_cols)).ravel()
+    means = np.bincount(idx, weights=arr.ravel()) / np.bincount(idx)
+    return _block_hankel(means, block_size, rows // block_size)
 
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:

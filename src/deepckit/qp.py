@@ -57,7 +57,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -71,7 +71,6 @@ __all__ = [
     "tracking_program",
     "TrackingQp",
     "assemble_reduced",
-    "ReducedQp",
     "save_program_csv",
 ]
 
@@ -866,11 +865,14 @@ def _tile_bound(vec, total: int) -> np.ndarray:
 
 @dataclass
 class TrackingQp:
-    """A QuadProgram with an output-tracking cost, plus where u and y sit in z.
+    """A QuadProgram with an output-tracking cost, plus where its parts sit in z.
 
     ``y`` is an explicit (box-bounded) block ``z[y_slice]`` only when output
     bounds are present; otherwise ``y_slice`` is None and y is recovered from
-    its affine map.
+    its affine map.  ``const`` is the tracking cost's constant term, which
+    the program leaves out: the controller's objective is the program's plus
+    ``const``.  A library program has its coefficients g in ``z[:n_g]`` and
+    its past-output slack, if any, in ``z[sigma_slice]``.
     """
 
     qp: QuadProgram
@@ -878,6 +880,9 @@ class TrackingQp:
     y_slice: slice | None
     y_map: np.ndarray
     y_const: np.ndarray
+    const: float
+    n_g: int = 0
+    sigma_slice: slice | None = None
 
     def outputs(self, z) -> np.ndarray:
         """The predicted outputs y at the decision vector ``z``."""
@@ -899,9 +904,11 @@ def tracking_program(
     ``y = y_const + y_map @ z[:k]``.  Without output bounds y is eliminated:
     with ``qg = q_bar @ y_map`` the cost adds ``2 y_map' qg`` to P, in place
     in ``p_mat`` (the program takes it over, sparing a copy), and
-    ``2 qg' (y_const - y_ref)`` to q.  With bounds an explicit y block is
-    appended, tied by ``y - y_map z[:k] = y_const``, which carries the tracking
-    cost and the output box.  ``u_box`` and ``y_box`` are per-channel (lo, hi)
+    ``2 qg' (y_const - y_ref)`` to q, and its constant is
+    ``(y_const - y_ref)' q_bar (y_const - y_ref)``.  With bounds an explicit y
+    block is appended, tied by ``y - y_map z[:k] = y_const``, which carries
+    the tracking cost, whose constant is ``y_ref' q_bar y_ref``, and the
+    output box.  ``u_box`` and ``y_box`` are per-channel (lo, hi)
     pairs, either side None for unbounded; the input box is tiled over
     ``u_slice`` and the output box over the horizon.
     """
@@ -942,62 +949,37 @@ def tracking_program(
             lo[y_slice] = _tile_bound(y_lo, n_y)
         if y_hi is not None:
             hi[y_slice] = _tile_bound(y_hi, n_y)
+        offset = y_ref
     else:
         qg = q_bar @ y_map
         p_mat[:k, :k] += 2.0 * (y_map.T @ qg)
         q_vec = np.zeros(n)
-        q_vec[:k] = 2.0 * (qg.T @ (y_const - y_ref))
+        offset = y_const - y_ref
+        q_vec[:k] = 2.0 * (qg.T @ offset)
 
     prob = QuadProgram(
         p_mat=p_mat, q_vec=q_vec, l1_weights=l1_weights, a_eq=a_eq, b_eq=b_eq,
         lower=lo, upper=hi,
     )
-    return TrackingQp(prob, u_slice, y_slice, y_map, y_const)
-
-
-@dataclass
-class ReducedQp(TrackingQp):
-    """A tracking program over z = (g, sigma_y?, u, y?) plus the bookkeeping to unpack it."""
-
-    n_g: int
-    sigma_slice: slice | None
-
-    def split(self, z):
-        z = np.asarray(z, dtype=float).ravel()
-        sigma = z[self.sigma_slice] if self.sigma_slice is not None else None
-        return z[: self.n_g], sigma, z[self.u_slice], self.outputs(z)
+    return TrackingQp(prob, u_slice, y_slice, y_map, y_const, float(offset @ q_bar @ offset))
 
 
 def assemble_reduced(
-    up,
-    yp,
-    uf,
-    yf,
-    u_ini,
-    y_ini,
-    r_bar,
-    q_bar,
-    y_ref,
-    *,
-    lambda1: float = 0.0,
-    lambda2: float = 0.0,
-    g2=None,
-    lambda_y: float | None = None,
-    u_lower=None,
-    u_upper=None,
-    y_lower=None,
-    y_upper=None,
-) -> ReducedQp:
+    up, yp, uf, yf, u_ini, y_ini, r_bar, q_bar, y_ref, *,
+    lambda1: float = 0.0, lambda2: float = 0.0, g2=None, lambda_y: float | None = None,
+    u_box=None, y_box=None,
+) -> TrackingQp:
     """Build the variable-eliminated QP over the library coefficients.
 
     The decision vector is z = (g, sigma_y, u, y): the predictor rows pin
     ``U_P g = u_ini`` and ``Y_P g = y_ini + sigma_y``; the future input is an
     auxiliary variable tied by ``U_F g = u`` so box bounds stay per-variable;
     the predicted output ``yf @ g`` enters through :func:`tracking_program`,
-    which adds y as an auxiliary variable only when output bounds require it.
-    ``sigma_y`` is present iff ``lambda_y`` is given.  Nonzero ``lambda1``
-    puts an l1 weight on g (realized inside the solver by the g = g+ - g-
-    split); nonzero ``lambda2`` adds the quadratic ``lambda2 * ||g2 @ g||^2``.
+    which adds y as an auxiliary variable only when output bounds require it,
+    and the ``u_box``/``y_box`` pairs as there.  ``sigma_y`` is present iff
+    ``lambda_y`` is given.  Nonzero ``lambda1`` puts an l1 weight on g
+    (realized inside the solver by the g = g+ - g- split); nonzero
+    ``lambda2`` adds the quadratic ``lambda2 * ||g2 @ g||^2``.
     """
     up = np.asarray(up, dtype=float)
     yp = np.asarray(yp, dtype=float)
@@ -1044,11 +1026,9 @@ def assemble_reduced(
     prog = tracking_program(
         p_mat, yf, np.zeros(yf.shape[0]), q_bar, y_ref, slice(off_u, n_z),
         l1_weights=w, a_eq=a_eq, b_eq=np.concatenate([u_ini, y_ini, np.zeros(n_u)]),
-        u_box=(u_lower, u_upper), y_box=(y_lower, y_upper),
+        u_box=u_box, y_box=y_box,
     )
-    return ReducedQp(
-        **vars(prog), n_g=n_g, sigma_slice=slice(n_g, off_u) if with_sigma else None
-    )
+    return replace(prog, n_g=n_g, sigma_slice=slice(n_g, off_u) if with_sigma else None)
 
 
 def save_program_csv(prob: QuadProgram, directory, prefix: str = "qp") -> list[str]:

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .hankel import hankel_project
+from .hankel import _block_hankel, hankel_project
 from .matlib import DEFAULT_RANK_TOL, _as_matrix, rowspace_complement
 
 __all__ = ["SlraReport", "range_truncate", "iterative_slra"]
@@ -108,7 +108,7 @@ class _Anderson:
     """Safeguarded type-II Anderson acceleration over block-Hankel iterates.
 
     A point is a generating sequence ``x`` (time-major, ``block_size``
-    samples per time step); its Hankel matrix is a strided view of ``x``.
+    samples per time step) of a block-Hankel matrix.
     The least squares weight every sample equally.  The safeguard measures a
     residual ``F(x) - x`` by the Frobenius norm of its Hankel matrix, where
     a sample counts once per entry of its anti-diagonal.
@@ -121,7 +121,7 @@ class _Anderson:
         k = np.arange(n_diag)
         lengths = np.minimum(np.minimum(k + 1, n_diag - k), min(depth, n_cols))
         self._weights = np.repeat(lengths.astype(float), block_size)
-        self._shape = shape
+        self._depth = depth
         self._p = block_size
         # ring buffers of the residual and map-value differences, one column each
         self._dg = np.empty((n_diag * block_size, memory), order="F")
@@ -174,11 +174,10 @@ class _Anderson:
         self._refill = True
 
     def _move(self, x: np.ndarray, candidate: bool = False) -> np.ndarray:
-        """Hand out point ``x``: its block-Hankel matrix, entry (r, j) = ``x[r + p*j]``."""
+        """Hand out point ``x`` as its block-Hankel matrix."""
         self._x = x
         self._candidate = candidate
-        strides = (x.itemsize, self._p * x.itemsize)
-        return np.ndarray(self._shape, x.dtype, buffer=x, strides=strides).copy()
+        return _block_hankel(x, self._p, self._depth)
 
 
 def iterative_slra(

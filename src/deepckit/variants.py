@@ -6,9 +6,14 @@ Every controller solves one outer problem, built by
 :func:`deepckit.qp.tracking_program`: a tracking cost on the predicted outputs
 y plus input and output boxes.  They differ in how y is predicted: by the
 model, by the least-squares subspace map, or by the library through its
-coefficients g.  The library variants share one reduced QP template over g
-(see :func:`deepckit.qp.assemble_reduced`); they differ only in the library
-blocks they consume and the regularizers they activate, the two choices each
+coefficients g.  Every controller's program goes through one solve path,
+which unpacks u, y, sigma_y and g and reports the objective as the program's
+plus the tracking cost's constant.  A library is always a
+:class:`~deepckit.hankel.HankelPartition`; a pre-processing step (the inner,
+identification problem) returns a copy tagged with its ``provenance``.  The
+library variants share one reduced QP template over g (see
+:func:`deepckit.qp.assemble_reduced`); they differ only in the library blocks
+they consume and the regularizers they activate, the two choices each
 :class:`Variant` record in :data:`VARIANTS` holds:
 
 =============  =================  ====================================
@@ -28,7 +33,7 @@ Cross-variant comparisons are made on (u, y, sigma_y) only; g is non-unique.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -37,7 +42,7 @@ from . import qp
 from .hankel import HankelPartition
 from .matlib import compact_svd, pinv, project_rows, rowspace_projector
 from .plants import LinearPlant, rollout
-from .slra import SlraReport, iterative_slra
+from .slra import iterative_slra
 
 __all__ = [
     "ControlSpec",
@@ -45,7 +50,6 @@ __all__ = [
     "VARIANTS",
     "OnlineData",
     "ControlSolution",
-    "PreprocessedLibrary",
     "VariantError",
     "solve_ground_truth",
     "solve_basic_deepc",
@@ -145,26 +149,6 @@ class ControlSolution:
     solver: qp.QpSolution
 
 
-@dataclass(frozen=True)
-class PreprocessedLibrary:
-    """Library blocks after a preprocessing step, tagged with their provenance."""
-
-    up: np.ndarray
-    yp: np.ndarray
-    uf: np.ndarray
-    yf: np.ndarray
-    t_ini: int
-    n_horizon: int
-    m: int
-    p: int
-    provenance: str
-    slra: SlraReport | None = None
-
-    @property
-    def n_cols(self) -> int:
-        return self.up.shape[1]
-
-
 class VariantError(RuntimeError):
     """A variant's QP did not reach an optimal certificate."""
 
@@ -182,8 +166,8 @@ class VariantError(RuntimeError):
 class Variant:
     """One data-driven controller as a choice of library and relaxations.
 
-    ``provenance`` is the pre-processed library the solver requires (``None``:
-    the raw library); ``l1``, ``ridge`` and ``slack`` say whether
+    ``provenance`` is the :attr:`HankelPartition.provenance` of the library
+    the solver requires; ``l1``, ``ridge`` and ``slack`` say whether
     ``lambda1 ||g||_1``, ``lambda2 ||(I - Pi1) g||^2`` and
     ``lambda_y ||sigma_y||^2`` are active.  ``solver`` and ``preprocess`` name
     this module's public functions; callers look them up as attributes at call
@@ -193,7 +177,7 @@ class Variant:
     name: str
     solver: str
     preprocess: str | None
-    provenance: str | None
+    provenance: str
     l1: bool
     ridge: bool
     slack: bool
@@ -201,90 +185,72 @@ class Variant:
 
 VARIANTS = {v.name: v for v in (
     # name, solver, pre-processing, required provenance, l1, ridge, slack
-    Variant("basic", "solve_basic_deepc", None, None, False, False, False),
-    Variant("hybrid", "solve_hybrid", None, None, True, True, True),
+    Variant("basic", "solve_basic_deepc", None, "raw", False, False, False),
+    Variant("hybrid", "solve_hybrid", None, "raw", True, True, True),
     Variant("svd", "solve_svd", "preprocess_svd", "svd", True, True, True),
     Variant("ddspc", "solve_dd_spc", "build_spc_library", "spc-projected", True, False, True),
     Variant("svd-iter", "solve_svd_iter", "preprocess_svd_iter", "slra-svd", False, True, True),
-    Variant("spc", "solve_classical_spc", None, None, False, False, True),
+    Variant("spc", "solve_classical_spc", None, "raw", False, False, True),
 )}
 
 
-def stack_library(lib) -> np.ndarray:
+def stack_library(lib: HankelPartition) -> np.ndarray:
     """col(U_P, Y_P, U_F, Y_F) of a (possibly preprocessed) library."""
     return np.vstack([lib.up, lib.yp, lib.uf, lib.yf])
 
 
-def stack_past_inputs(lib) -> np.ndarray:
+def stack_past_inputs(lib: HankelPartition) -> np.ndarray:
     """col(U_P, Y_P, U_F): every block except the future outputs."""
     return np.vstack([lib.up, lib.yp, lib.uf])
 
 
 def _check_inputs(variant: Variant, lib, online: OnlineData, spec: ControlSpec) -> None:
-    """Library provenance, slack weight and online window lengths of one solve."""
-    got = getattr(lib, "provenance", None) or "raw"  # a HankelPartition is raw
-    want = variant.provenance or "raw"
-    if got != want:
-        raise ValueError(f"expected an '{want}' library, got '{got}'")
+    """Library provenance, slack weight, spec and online windows of one solve."""
+    if lib.provenance != variant.provenance:
+        raise ValueError(f"expected an '{variant.provenance}' library, got '{lib.provenance}'")
     if variant.slack and spec.lambda_y <= 0.0:
         raise ValueError(f"{variant.name} variant requires lambda_y > 0")
+    if (spec.t_ini, spec.n_horizon) != (lib.t_ini, lib.n_horizon):
+        raise ValueError(
+            f"spec windows (t_ini={spec.t_ini}, n_horizon={spec.n_horizon}) do not match "
+            f"the library's (t_ini={lib.t_ini}, n_horizon={lib.n_horizon})"
+        )
     if online.u_ini.size != lib.m * lib.t_ini or online.y_ini.size != lib.p * lib.t_ini:
         raise ValueError("online data lengths do not match the library windows")
 
 
-def _variant_objective(spec, g, u, y, sigma, *, lambda1=0.0, lambda2=0.0, g2=None):
-    dy = y - spec.y_ref_vec()
-    val = float(u @ spec.r_bar() @ u + dy @ spec.q_bar() @ dy)
-    if lambda1:
-        val += lambda1 * float(np.abs(g).sum())
-    if lambda2 and g2 is not None:
-        r = g2 @ g
-        val += lambda2 * float(r @ r)
-    if sigma.size:
-        val += spec.lambda_y * float(sigma @ sigma)
-    return val
+def _solve(name: str, prog: qp.TrackingQp, spec: ControlSpec, tol, max_iter, accept_tol):
+    """Solve a controller's tracking QP and unpack u, y, sigma_y and g.
+
+    A controller without a slack reports a zero ``sigma_y``, and one without
+    library coefficients an empty ``g``.
+    """
+    sol = qp.solve(prog.qp, tol=tol, max_iter=max_iter, accept_tol=accept_tol)
+    if sol.status is not qp.QpStatus.OPTIMAL:
+        raise VariantError(name, sol)
+    z = sol.z
+    sigma = np.zeros(spec.p * spec.t_ini) if prog.sigma_slice is None else z[prog.sigma_slice]
+    return ControlSolution(
+        u=z[prog.u_slice], y_pred=prog.outputs(z), sigma_y=sigma, g=z[:prog.n_g],
+        objective=sol.objective + prog.const, solver=sol,
+    )
 
 
 def _solve_reduced(variant: Variant, lib, online, spec, tol, max_iter, accept_tol):
     """The reduced QP over g with the variant's regularizers; see the module table."""
     _check_inputs(variant, lib, online, spec)
-    lambda1 = spec.lambda1 if variant.l1 else 0.0
     lambda2 = spec.lambda2 if variant.ridge else 0.0
     g2 = None
     if lambda2 != 0.0:
         pi1 = rowspace_projector(stack_past_inputs(lib))
         g2 = np.eye(pi1.shape[0]) - pi1
-    u_lo, u_hi = spec.u_box or (None, None)
-    y_lo, y_hi = spec.y_box or (None, None)
-    red = qp.assemble_reduced(
-        lib.up,
-        lib.yp,
-        lib.uf,
-        lib.yf,
-        online.u_ini,
-        online.y_ini,
-        spec.r_bar(),
-        spec.q_bar(),
-        spec.y_ref_vec(),
-        lambda1=lambda1,
-        lambda2=lambda2,
-        g2=g2,
-        lambda_y=spec.lambda_y if variant.slack else None,
-        u_lower=u_lo,
-        u_upper=u_hi,
-        y_lower=y_lo,
-        y_upper=y_hi,
+    prog = qp.assemble_reduced(
+        lib.up, lib.yp, lib.uf, lib.yf, online.u_ini, online.y_ini,
+        spec.r_bar(), spec.q_bar(), spec.y_ref_vec(),
+        lambda1=spec.lambda1 if variant.l1 else 0.0, lambda2=lambda2, g2=g2,
+        lambda_y=spec.lambda_y if variant.slack else None, u_box=spec.u_box, y_box=spec.y_box,
     )
-    sol = qp.solve(red.qp, tol=tol, max_iter=max_iter, accept_tol=accept_tol)
-    if sol.status is not qp.QpStatus.OPTIMAL:
-        raise VariantError(variant.name, sol)
-    g, sigma, u, y = red.split(sol.z)
-    sigma = sigma if sigma is not None else np.zeros(lib.p * lib.t_ini)
-    obj = _variant_objective(
-        spec, g, u, y, sigma if variant.slack else np.zeros(0),
-        lambda1=lambda1, lambda2=lambda2, g2=g2,
-    )
-    return ControlSolution(u=u, y_pred=y, sigma_y=sigma, g=g, objective=obj, solver=sol)
+    return _solve(variant.name, prog, spec, tol, max_iter, accept_tol)
 
 
 def solve_ground_truth(
@@ -330,20 +296,7 @@ def solve_ground_truth(
         2.0 * spec.r_bar(), gamma, free, spec.q_bar(), spec.y_ref_vec(), slice(0, n_u),
         u_box=spec.u_box, y_box=spec.y_box,
     )
-    sol = qp.solve(prog.qp, tol=tol, max_iter=max_iter, accept_tol=accept_tol)
-    if sol.status is not qp.QpStatus.OPTIMAL:
-        raise VariantError("ground-truth", sol)
-    u = sol.z[:n_u]
-    y = prog.outputs(sol.z)
-    obj = _variant_objective(spec, np.zeros(0), u, y, np.zeros(0))
-    return ControlSolution(
-        u=u,
-        y_pred=y,
-        sigma_y=np.zeros(p * spec.t_ini),
-        g=np.zeros(0),
-        objective=obj,
-        solver=sol,
-    )
+    return _solve("ground-truth", prog, spec, tol, max_iter, accept_tol)
 
 
 def solve_basic_deepc(
@@ -380,40 +333,25 @@ def solve_hybrid(
     return _solve_reduced(VARIANTS["hybrid"], lib, online, spec, tol, max_iter, accept_tol)
 
 
-def _split_rows(h, lib) -> list:
-    """Cut stacked rows col(U_P, Y_P, U_F, Y_F) into the four blocks (views of ``h``)."""
+def _library(lib: HankelPartition, provenance: str, rows, slra=None) -> HankelPartition:
+    """``lib`` with its blocks cut from the stacked rows col(U_P, Y_P, U_F, Y_F)."""
     m_t, p_t = lib.m * lib.t_ini, lib.p * lib.t_ini
-    return np.split(h, [m_t, m_t + p_t, m_t + p_t + lib.m * lib.n_horizon])
+    up, yp, uf, yf = np.split(rows, [m_t, m_t + p_t, m_t + p_t + lib.m * lib.n_horizon])
+    return replace(lib, up=up, yp=yp, uf=uf, yf=yf, provenance=provenance, slra=slra)
 
 
-def _library(lib, provenance: str, up, yp, uf, yf, slra=None) -> PreprocessedLibrary:
-    """New library blocks, tagged with a provenance, on ``lib``'s windows."""
-    return PreprocessedLibrary(
-        up=up,
-        yp=yp,
-        uf=uf,
-        yf=yf,
-        t_ini=lib.t_ini,
-        n_horizon=lib.n_horizon,
-        m=lib.m,
-        p=lib.p,
-        provenance=provenance,
-        slra=slra,
-    )
-
-
-def preprocess_svd(lib: HankelPartition) -> PreprocessedLibrary:
+def preprocess_svd(lib: HankelPartition) -> HankelPartition:
     """Reduce the library's column dimension by keeping W * Sigma from its SVD.
 
     The returned blocks span the same column space as the raw library but have
     only ``numeric_rank`` columns.
     """
     dec = compact_svd(stack_library(lib))
-    return _library(lib, "svd", *_split_rows(dec.w * dec.sigma, lib))
+    return _library(lib, "svd", dec.w * dec.sigma)
 
 
 def solve_svd(
-    prelib: PreprocessedLibrary,
+    prelib: HankelPartition,
     online: OnlineData,
     spec: ControlSpec,
     tol: float = 1e-9,
@@ -424,14 +362,14 @@ def solve_svd(
     return _solve_reduced(VARIANTS["svd"], prelib, online, spec, tol, max_iter, accept_tol)
 
 
-def build_spc_library(lib: HankelPartition) -> PreprocessedLibrary:
+def build_spc_library(lib: HankelPartition) -> HankelPartition:
     """Replace Y_F by its row-space projection M = Y_F (H1^+ H1) onto col(U_P, Y_P, U_F)."""
     m_mat = project_rows(lib.yf, stack_past_inputs(lib))
-    return _library(lib, "spc-projected", lib.up, lib.yp, lib.uf, m_mat)
+    return replace(lib, yf=m_mat, provenance="spc-projected")
 
 
 def solve_dd_spc(
-    prelib: PreprocessedLibrary,
+    prelib: HankelPartition,
     online: OnlineData,
     spec: ControlSpec,
     tol: float = 1e-9,
@@ -462,9 +400,7 @@ def solve_classical_spc(
     pred = lib.yf @ pinv(h1)  # (p*N) x rows(H1)
     m_t = lib.m * lib.t_ini
     p_t = lib.p * lib.t_ini
-    t_up = pred[:, :m_t]
-    t_yp = pred[:, m_t:m_t + p_t]
-    t_uf = pred[:, m_t + p_t:]
+    t_up, t_yp, t_uf = np.split(pred, [m_t, m_t + p_t], axis=1)
     c0 = t_up @ online.u_ini + t_yp @ online.y_ini
 
     n_u = lib.m * lib.n_horizon
@@ -473,16 +409,8 @@ def solve_classical_spc(
         p_mat, np.hstack([t_uf, t_yp]), c0, spec.q_bar(), spec.y_ref_vec(), slice(0, n_u),
         u_box=spec.u_box, y_box=spec.y_box,
     )
-    sol = qp.solve(prog.qp, tol=tol, max_iter=max_iter, accept_tol=accept_tol)
-    if sol.status is not qp.QpStatus.OPTIMAL:
-        raise VariantError("spc", sol)
-    u = sol.z[:n_u]
-    sigma = sol.z[n_u:n_u + p_t]
-    y = prog.outputs(sol.z)
-    obj = _variant_objective(spec, np.zeros(0), u, y, sigma)
-    return ControlSolution(
-        u=u, y_pred=y, sigma_y=sigma, g=np.zeros(0), objective=obj, solver=sol
-    )
+    prog = replace(prog, sigma_slice=slice(n_u, n_u + p_t))
+    return _solve("spc", prog, spec, tol, max_iter, accept_tol)
 
 
 # start of the RuntimeWarning raised when the denoiser stops at its pass limit
@@ -494,7 +422,7 @@ def preprocess_svd_iter(
     n_order: int,
     eps: float = 1e-6,
     max_iter: int = 200,
-) -> PreprocessedLibrary:
+) -> HankelPartition:
     """Denoise the output Hankel, rebuild the library, and reduce its columns.
 
     Runs the iterative structured low-rank approximation on col(Y_P, Y_F),
@@ -513,20 +441,15 @@ def preprocess_svd_iter(
             f"{SLRA_CAP_WARNING} (rel change {report.final_rel_change:.2e})",
             RuntimeWarning,
         )
-    p_t = lib.p * lib.t_ini
-    yp_star = report.h_y_star[:p_t]
-    yf_star = report.h_y_star[p_t:]
-    h_tilde = np.vstack([lib.up, yp_star, lib.uf, yf_star])
-    dec = compact_svd(h_tilde)
-    keep = lib.m * lib.depth + n_order
-    if dec.rank < keep:
-        keep = dec.rank
+    y_star = np.split(report.h_y_star, [lib.p * lib.t_ini])
+    dec = compact_svd(np.vstack([lib.up, y_star[0], lib.uf, y_star[1]]))
+    keep = min(lib.m * lib.depth + n_order, dec.rank)
     h_hat = dec.w[:, :keep] * dec.sigma[:keep]
-    return _library(lib, "slra-svd", *_split_rows(h_hat, lib), slra=report)
+    return _library(lib, "slra-svd", h_hat, slra=report)
 
 
 def solve_svd_iter(
-    prelib: PreprocessedLibrary,
+    prelib: HankelPartition,
     online: OnlineData,
     spec: ControlSpec,
     tol: float = 1e-9,

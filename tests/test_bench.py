@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -42,6 +43,14 @@ class TestConfig:
             bench.ExperimentConfig(variants=("nope",))
         with pytest.raises(ValueError):
             bench.ExperimentConfig(T=40, t_ini=4, n_horizon=40)
+
+    def test_slack_variants_need_positive_lambda_y(self, tmp_path):
+        # rejected up front, not in the first trial after config.json is written
+        with pytest.raises(ValueError, match="hybrid variant requires lambda_y > 0"):
+            bench.ExperimentConfig(lambda_y=0.0)
+        with pytest.raises(ValueError, match="spc variant requires lambda_y > 0"):
+            fast_config(tmp_path, variants=("basic", "spc"), lambda_y=0.0)
+        assert fast_config(tmp_path, variants=("basic",), lambda_y=0.0).lambda_y == 0.0
 
     def test_echo_and_hash(self, tmp_path):
         cfg = fast_config(tmp_path)
@@ -192,6 +201,20 @@ class TestVariantDispatch:
             assert calls.count(name) == 1, name
         for name in bench.VARIANT_CHOICES:
             assert calls.count(VARIANT_CALLS[name][-1]) == 4, name
+
+
+def test_perfbench_wraps_only_existing_functions(monkeypatch):
+    # the benchmark's wrappers look these names up; a deleted or renamed one
+    # would break the traced run, not this suite
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instrument", path)
+    instrument = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, instrument)  # its dataclasses look it up
+    spec.loader.exec_module(instrument)
+    for table in (instrument.TRACED, instrument.CHECKED):
+        for owner, names in table.items():
+            for name in names:
+                assert callable(getattr(instrument.MODULES[owner], name)), f"{owner}.{name}"
 
 
 class TestDenoiserWarnings:

@@ -615,7 +615,7 @@ class TestAssembleReduced:
             up, yp, uf, yf, u_ini, y_ini, r_bar, q_bar, np.zeros(6), lambda_y=lam_y
         )
         sol = qp.solve(red.qp, tol=1e-10)
-        g, sigma, u, y = red.split(sol.z)
+        sigma, u, y = sol.z[red.sigma_slice], sol.z[red.u_slice], red.outputs(sol.z)
         red_obj = u @ r_bar @ u + y @ q_bar @ y + lam_y * sigma @ sigma
 
         # unreduced four-block program over (g, sigma, u, y)
@@ -653,7 +653,7 @@ class TestAssembleReduced:
             rng.standard_normal(2), rng.standard_normal(3),
             np.eye(4), np.eye(6), np.zeros(6),
             lambda_y=10.0,
-            u_lower=np.array([-0.5, -0.25]), u_upper=np.array([0.5, 0.25]),
+            u_box=(np.array([-0.5, -0.25]), np.array([0.5, 0.25])),
         )
         lo = red.qp.lower[red.u_slice]
         np.testing.assert_array_equal(lo, [-0.5, -0.25, -0.5, -0.25])

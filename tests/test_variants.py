@@ -6,6 +6,7 @@ import pytest
 
 from deepckit import bench, qp
 from deepckit import variants as va
+from deepckit.hankel import HankelPartition
 from deepckit.matlib import compact_svd, numeric_rank, pinv, rowspace_projector
 from deepckit.plants import (
     LinearPlant,
@@ -240,6 +241,64 @@ class TestHybrid:
             va.solve_hybrid(lib, online, make_spec(ly=0.0))
 
 
+@pytest.mark.parametrize("solve", [va.solve_hybrid, va.solve_classical_spc])
+@pytest.mark.parametrize("t_ini, n_horizon", [(2, 6), (3, 8)])
+def test_spec_windows_must_match_library(small_instances, solve, t_ini, n_horizon):
+    lib, online, _ = small_instances["noisy"]  # t_ini=2, n_horizon=8
+    spec = make_spec(ly=100.0, t_ini=t_ini, n_horizon=n_horizon)
+    want = (rf"spec windows \(t_ini={t_ini}, n_horizon={n_horizon}\) do not match "
+            r"the library's \(t_ini=2, n_horizon=8\)")
+    with pytest.raises(ValueError, match=want):
+        solve(lib, online, spec)
+
+
+def reference_objective(spec, g, u, y, sigma, *, lambda1=0.0, lambda2=0.0, g2=None):
+    """A controller's objective priced term by term from its solution."""
+    dy = y - spec.y_ref_vec()
+    val = float(u @ spec.r_bar() @ u + dy @ spec.q_bar() @ dy)
+    if lambda1:
+        val += lambda1 * float(np.abs(g).sum())
+    if lambda2 and g2 is not None:
+        r = g2 @ g
+        val += lambda2 * float(r @ r)
+    if sigma.size:
+        val += spec.lambda_y * float(sigma @ sigma)
+    return val
+
+
+@pytest.mark.parametrize("y_box", [None, (np.array([-2.0]), np.array([0.42]))])
+@pytest.mark.parametrize(
+    "name", ["ground-truth", "basic", "hybrid", "svd", "ddspc", "svd-iter", "spc"]
+)
+def test_objective_prices_the_solution(small_plant, small_instances, name, y_box):
+    # tracking a nonzero reference, so the tracking cost's constant term
+    # counts; the box's upper side binds (unboxed, ground truth, basic and
+    # hybrid predict outputs above 0.42)
+    lib, online, x_true = small_instances["clean" if name == "basic" else "noisy"]
+    spec = replace(make_spec(l1=1.0, l2=30.0, ly=100.0, y_ref=np.full(8, 0.4)), y_box=y_box)
+    if name == "ground-truth":
+        sol = va.solve_ground_truth(small_plant, x_true, spec)
+        want = reference_objective(spec, sol.g, sol.u, sol.y_pred, np.zeros(0))
+    else:
+        variant = va.VARIANTS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if variant.preprocess is None:
+                prelib = lib
+            elif name == "svd-iter":
+                prelib = va.preprocess_svd_iter(lib, 2)
+            else:
+                prelib = getattr(va, variant.preprocess)(lib)
+        sol = getattr(va, variant.solver)(prelib, online, spec)
+        g2 = np.eye(prelib.n_cols) - rowspace_projector(va.stack_past_inputs(prelib))
+        want = reference_objective(
+            spec, sol.g, sol.u, sol.y_pred, sol.sigma_y if variant.slack else np.zeros(0),
+            lambda1=spec.lambda1 if variant.l1 else 0.0,
+            lambda2=spec.lambda2 if variant.ridge else 0.0, g2=g2,
+        )
+    assert sol.objective == pytest.approx(want, rel=1e-9)
+
+
 class TestPreprocessSvd:
     def test_column_space_preserved(self, small_instances):
         lib, _, _ = small_instances["noisy"]
@@ -260,9 +319,9 @@ class TestPreprocessSvd:
     def test_orthogonal_library_spans_same_space(self):
         rng = np.random.default_rng(3)
         q_mat, _ = np.linalg.qr(rng.standard_normal((12, 5)))
-        lib = va.PreprocessedLibrary(
+        lib = HankelPartition(
             up=q_mat[:2], yp=q_mat[2:4], uf=q_mat[4:8], yf=q_mat[8:],
-            t_ini=2, n_horizon=4, m=1, p=1, provenance="raw",
+            t_ini=2, n_horizon=4, m=1, p=1,
         )
         pre = va.preprocess_svd(lib)
         assert pre.n_cols == 5
