@@ -478,8 +478,8 @@ def cmd_benchmark(cfg: ExperimentConfig) -> tuple[Path, list[BenchRow]]:
 def cmd_sweep(cfg: ExperimentConfig, lambda1_grid, lambda2_grid) -> Path:
     """Realized cost per (variant, lambda1, lambda2) cell on one fixed seeded instance.
 
-    The slack weight is pinned at 100; variants without one of the knobs are
-    still evaluated on every cell (their cost is constant along that axis).
+    The slack weight is the config's ``lambda_y``; variants without one of the
+    knobs are still evaluated on every cell (their cost is constant along that axis).
     Failures are recorded as NaN sentinels.
     """
     lambda1_grid = [float(v) for v in lambda1_grid]
@@ -496,7 +496,7 @@ def cmd_sweep(cfg: ExperimentConfig, lambda1_grid, lambda2_grid) -> Path:
     for name in cfg.variants:
         for lam1 in lambda1_grid:
             for lam2 in lambda2_grid:
-                spec = replace(base, lambda1=lam1, lambda2=lam2, lambda_y=100.0)
+                spec = replace(base, lambda1=lam1, lambda2=lam2)
                 try:
                     sol = _solve_variant(
                         name, plant, instance, spec, cfg, caches,

@@ -11,10 +11,10 @@ which unpacks u, y, sigma_y and g and reports the objective as the program's
 plus the tracking cost's constant.  A library is always a
 :class:`~deepckit.hankel.HankelPartition`; a pre-processing step (the inner,
 identification problem) returns a copy tagged with its ``provenance``.  The
-library variants share one reduced QP template over g (see
-:func:`deepckit.qp.assemble_reduced`); they differ only in the library blocks
-they consume and the regularizers they activate, the two choices each
-:class:`Variant` record in :data:`VARIANTS` holds:
+variants with an l1 term or a hard equality share one QP over g (see
+:func:`deepckit.qp.assemble_reduced`), the others one least-squares predictor;
+they differ only in the library blocks they consume and the regularizers they
+activate, the two choices each :class:`Variant` record in :data:`VARIANTS` holds:
 
 =============  =================  ====================================
 variant        library blocks     regularizers
@@ -23,8 +23,8 @@ basic          raw                none (hard equality, no slack)
 hybrid         raw                l1(g), ||(I-Pi1) g||^2, ||sigma_y||^2
 svd            W*Sigma            same, with the reduced projector
 ddspc          raw with Yf -> M   l1(g), ||sigma_y||^2
-svd-iter       denoised+reduced   ||(I-Pi1_hat) g||^2, ||sigma_y||^2
-classical spc  least-squares map  ||sigma_y||^2 (no g)
+svd-iter       denoised+reduced   ||nu||^2 on null(H1), ||sigma_y||^2
+classical spc  least-squares map  ||sigma_y||^2 (g = H1^+ r)
 =============  =================  ====================================
 
 Cross-variant comparisons are made on (u, y, sigma_y) only; g is non-unique.
@@ -40,7 +40,7 @@ from scipy.linalg import block_diag
 
 from . import qp
 from .hankel import HankelPartition
-from .matlib import compact_svd, pinv, project_rows, rowspace_projector
+from .matlib import compact_svd, project_rows, rowspace_complement, rowspace_projector
 from .plants import LinearPlant, rollout
 from .slra import iterative_slra
 
@@ -253,6 +253,49 @@ def _solve_reduced(variant: Variant, lib, online, spec, tol, max_iter, accept_to
     return _solve(variant.name, prog, spec, tol, max_iter, accept_tol)
 
 
+def _solve_predictor(variant: Variant, lib, online, spec, tol, max_iter, accept_tol):
+    """The least-squares predictor y = Y_F g, g = H1^+ r, r = col(u_ini, y_ini + sigma_y, u).
+
+    Classical SPC is this program over (u, sigma_y).  With the ridge it is the
+    library form ``H1 g = r`` plus ``lambda2 ||(I - Pi1) g||^2`` exactly.  g is
+    then eliminated only along H1's ``m*L`` leading singular directions, whose
+    gain 1/sigma the input rows bound; as curvature, a larger gain can stall
+    the interior-point method.  g's other coordinates stay variables: those in
+    H1's row space are tied by the rows W' (r - H1 g) = 0, which on H1's left
+    null space keep r in range(H1), and those on its null space, nu, are priced
+    ``lambda2 ||nu||^2``.
+    """
+    _check_inputs(variant, lib, online, spec)
+    h1 = stack_past_inputs(lib)
+    dec = compact_svd(h1)
+    lead = min(dec.rank, lib.m * lib.depth) if variant.ridge else dec.rank
+    h1_pinv = (dec.v[:, :lead] / dec.sigma[:lead]) @ dec.w[:, :lead].T  # as matlib.pinv
+    m_t, p_t, n_u = lib.m * lib.t_ini, lib.p * lib.t_ini, lib.m * lib.n_horizon
+    t_up, t_yp, t_uf = np.split(lib.yf @ h1_pinv, [m_t, m_t + p_t], axis=1)
+    curvature, y_map = [2.0 * spec.r_bar(), 2.0 * spec.lambda_y * np.eye(p_t)], [t_uf, t_yp]
+    basis, a_eq, b_eq = np.zeros((lib.n_cols, 0)), None, None
+    if variant.ridge:
+        null = rowspace_complement(dec.v.T)
+        basis = np.hstack([dec.v[:, lead:], null])
+        curvature += [np.zeros((dec.rank - lead,) * 2), 2.0 * spec.lambda2 * np.eye(null.shape[1])]
+        y_map.append(lib.yf @ basis)
+        left = np.hstack([dec.w[:, lead:], rowspace_complement(dec.w.T)])
+        l_up, l_yp, l_uf = np.split(left.T, [m_t, m_t + p_t], axis=1)
+        a_eq = np.hstack([l_uf, l_yp, -(left.T @ h1 @ basis)])
+        b_eq = -(l_up @ online.u_ini + l_yp @ online.y_ini)
+    prog = qp.tracking_program(
+        block_diag(*curvature), np.hstack(y_map), t_up @ online.u_ini + t_yp @ online.y_ini,
+        spec.q_bar(), spec.y_ref_vec(), slice(0, n_u),
+        a_eq=a_eq, b_eq=b_eq, u_box=spec.u_box, y_box=spec.y_box,
+    )
+    prog = replace(prog, sigma_slice=slice(n_u, n_u + p_t))
+    sol = _solve(variant.name, prog, spec, tol, max_iter, accept_tol)
+    coords = sol.solver.z[n_u + p_t:][:basis.shape[1]]
+    sol.g = h1_pinv @ np.concatenate([online.u_ini, online.y_ini + sol.sigma_y, sol.u])
+    sol.g += basis @ coords
+    return sol
+
+
 def solve_ground_truth(
     plant: LinearPlant,
     x_ini,
@@ -388,29 +431,9 @@ def solve_classical_spc(
     max_iter: int = 100,
     accept_tol: float | None = None,
 ) -> ControlSolution:
-    """Least-squares subspace predictor: y is predicted through Y_F H1^+.
-
-    The QP runs over (u, sigma_y); the predicted output is
-    ``Y_F H1^+ col(u_ini, y_ini + sigma_y, u)``, and
-    :func:`deepckit.qp.tracking_program` adds its tracking cost and the input
-    and output boxes, so ``spec.y_box`` is honoured as by the other variants.
-    """
-    _check_inputs(VARIANTS["spc"], lib, online, spec)
-    h1 = stack_past_inputs(lib)
-    pred = lib.yf @ pinv(h1)  # (p*N) x rows(H1)
-    m_t = lib.m * lib.t_ini
-    p_t = lib.p * lib.t_ini
-    t_up, t_yp, t_uf = np.split(pred, [m_t, m_t + p_t], axis=1)
-    c0 = t_up @ online.u_ini + t_yp @ online.y_ini
-
-    n_u = lib.m * lib.n_horizon
-    p_mat = block_diag(2.0 * spec.r_bar(), 2.0 * spec.lambda_y * np.eye(p_t))
-    prog = qp.tracking_program(
-        p_mat, np.hstack([t_uf, t_yp]), c0, spec.q_bar(), spec.y_ref_vec(), slice(0, n_u),
-        u_box=spec.u_box, y_box=spec.y_box,
-    )
-    prog = replace(prog, sigma_slice=slice(n_u, n_u + p_t))
-    return _solve("spc", prog, spec, tol, max_iter, accept_tol)
+    """Least-squares subspace predictor: y is predicted through Y_F H1^+ (see
+    :func:`_solve_predictor`); ``g`` reports H1^+ col(u_ini, y_ini + sigma_y, u)."""
+    return _solve_predictor(VARIANTS["spc"], lib, online, spec, tol, max_iter, accept_tol)
 
 
 # start of the RuntimeWarning raised when the denoiser stops at its pass limit
@@ -456,10 +479,9 @@ def solve_svd_iter(
     max_iter: int = 100,
     accept_tol: float | None = None,
 ) -> ControlSolution:
-    """Controller on the denoised+reduced library; no l1 term in this formulation."""
-    return _solve_reduced(
-        VARIANTS["svd-iter"], prelib, online, spec, tol, max_iter, accept_tol
-    )
+    """Controller on the denoised+reduced library, solved through its
+    least-squares predictor (see :func:`_solve_predictor`); no l1 term."""
+    return _solve_predictor(VARIANTS["svd-iter"], prelib, online, spec, tol, max_iter, accept_tol)
 
 
 def realized_cost(plant, true_state, u_applied, spec: ControlSpec) -> float:

@@ -339,6 +339,25 @@ class TestSweepCommand:
         bench_cost = [r for r in rows if r.variant == "hybrid"][0].mean_cost
         assert sweep_cost == pytest.approx(bench_cost, rel=1e-6)
 
+    def test_lambda_y_is_echoed_and_used(self, tmp_path, small_plant, monkeypatch):
+        # the slack weight config.json records is the one the cells run with
+        monkeypatch.setattr(bench, "_make_plant", lambda cfg: small_plant)
+        costs = {}
+        for lambda_y in (5.0, 100.0):
+            cfg = fast_config(tmp_path, trials=1, variants=("hybrid",), lambda_y=lambda_y,
+                              out_dir=str(tmp_path / f"ly{lambda_y:g}"))
+            path = bench.cmd_sweep(cfg, [30.0], [30.0])
+            echoed = json.loads((path.parent / "config.json").read_text())
+            assert echoed["lambda_y"] == lambda_y
+            costs[lambda_y] = float(path.read_text().splitlines()[2].split(",")[3])
+        assert costs[5.0] != costs[100.0]
+
+        cfg_b = fast_config(tmp_path, trials=1, variants=("hybrid",), lambda1=30.0,
+                            lambda2=30.0, lambda_y=5.0, out_dir=str(tmp_path / "bench"))
+        _, rows = bench.cmd_benchmark(cfg_b)
+        hybrid = [r for r in rows if r.variant == "hybrid"][0]
+        assert costs[5.0] == pytest.approx(hybrid.mean_cost, rel=1e-6)
+
     def test_grid_shape_and_sentinels(self, tmp_path, small_plant, monkeypatch):
         monkeypatch.setattr(bench, "_make_plant", lambda cfg: small_plant)
         cfg = fast_config(tmp_path, trials=1, variants=("hybrid", "ddspc"))

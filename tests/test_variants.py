@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from deepckit import bench, qp
 from deepckit import variants as va
@@ -462,6 +463,113 @@ class TestSvdIter:
             assert deviation(sols[0], s, with_sigma=True) <= 1e-6
 
 
+def svd_iter_g_form(lib, online, spec, tol):
+    """svd-iter as the library QP over g: H1 g = r, a slack, and the ridge
+    lambda2 ||(I - Pi1) g||^2 (the reference for the predictor form)."""
+    g2 = np.eye(lib.n_cols) - rowspace_projector(va.stack_past_inputs(lib))
+    prog = qp.assemble_reduced(
+        lib.up, lib.yp, lib.uf, lib.yf, online.u_ini, online.y_ini,
+        spec.r_bar(), spec.q_bar(), spec.y_ref_vec(), lambda1=0.0, lambda2=spec.lambda2,
+        g2=g2, lambda_y=spec.lambda_y, u_box=spec.u_box, y_box=spec.y_box,
+    )
+    sol = qp.solve(prog.qp, tol=tol, max_iter=200)
+    assert sol.status is qp.QpStatus.OPTIMAL
+    return sol.z[prog.u_slice], sol.z[prog.sigma_slice], sol.objective + prog.const
+
+
+def spc_hand_built(lib, online, spec):
+    """Classical SPC as it was built before it shared the predictor path."""
+    pred = lib.yf @ pinv(va.stack_past_inputs(lib))
+    m_t, p_t, n_u = lib.m * lib.t_ini, lib.p * lib.t_ini, lib.m * lib.n_horizon
+    t_up, t_yp, t_uf = np.split(pred, [m_t, m_t + p_t], axis=1)
+    p_mat = block_diag(2.0 * spec.r_bar(), 2.0 * spec.lambda_y * np.eye(p_t))
+    prog = qp.tracking_program(
+        p_mat, np.hstack([t_uf, t_yp]), t_up @ online.u_ini + t_yp @ online.y_ini,
+        spec.q_bar(), spec.y_ref_vec(), slice(0, n_u), u_box=spec.u_box, y_box=spec.y_box,
+    )
+    sol = qp.solve(prog.qp, tol=1e-9, max_iter=100)
+    z = sol.z
+    return z[:n_u], prog.outputs(z), z[n_u:n_u + p_t], sol.objective + prog.const
+
+
+def deficient_library():
+    """A denoised-library stand-in whose H1 (12 x 14) has rank 10: two left
+    null directions (rows L) and four null directions (coordinates nu), with
+    Y_F off H1's row space so that nu moves the prediction."""
+    rng = np.random.default_rng(11)
+    h1 = rng.standard_normal((12, 10)) @ rng.standard_normal((10, 14)) / np.sqrt(10)
+    lib = HankelPartition(
+        up=h1[:2], yp=h1[2:4], uf=h1[4:], yf=0.3 * rng.standard_normal((8, 14)),
+        t_ini=2, n_horizon=8, m=1, p=1, provenance="slra-svd",
+    )
+    g0 = 0.05 * rng.standard_normal(14)
+    online = va.OnlineData(u_ini=lib.up @ g0, y_ini=lib.yp @ g0 + 0.01 * rng.standard_normal(2))
+    return lib, online
+
+
+class TestPredictorPath:
+    """svd-iter and classical SPC share the least-squares predictor program."""
+
+    # seed 7067: H1's smallest singular value is 6.9e-4 (the next is 0.23);
+    # with g eliminated along that direction too, the solver stalls
+    @pytest.mark.parametrize("seed, trial", [(12345, 0), (12345, 1), (7067, 0)])
+    def test_svd_iter_matches_g_form_at_paper_scale(self, seed, trial):
+        cfg = bench.ExperimentConfig(seed=seed)
+        plant = bench._make_plant(cfg)
+        spec = bench._make_spec(cfg, plant)
+        lib, online, _ = bench._instance(cfg, plant, trial)
+        pre = va.preprocess_svd_iter(lib, plant.n, eps=cfg.slra_eps)
+        u_ref, sigma_ref, obj_ref = svd_iter_g_form(pre, online, spec, tol=1e-12)
+        sol = va.solve_svd_iter(pre, online, spec, tol=1e-12, max_iter=200)
+        assert sol.objective == pytest.approx(obj_ref, rel=1e-8)
+        assert np.abs(sol.sigma_y - sigma_ref).max() <= 1e-6
+        assert np.abs(sol.u - u_ref).max() <= 1e-5
+
+    @pytest.mark.parametrize("lambda2", [0.0, 30.0, 1e4])
+    def test_svd_iter_matches_g_form_on_deficient_library(self, lambda2):
+        # H1 is short of both row and column rank, so the consistency rows and
+        # the null-space coordinates are both live
+        lib, online = deficient_library()
+        h1 = va.stack_past_inputs(lib)
+        assert numeric_rank(h1) == 10
+        spec = make_spec(l2=lambda2, ly=100.0, y_ref=np.full(8, 0.3))
+        u_ref, sigma_ref, obj_ref = svd_iter_g_form(lib, online, spec, tol=1e-12)
+        sol = va.solve_svd_iter(lib, online, spec, tol=1e-12, max_iter=200)
+        assert sol.objective == pytest.approx(obj_ref, rel=1e-8)
+        assert np.abs(sol.sigma_y - sigma_ref).max() <= 1e-6
+        assert np.abs(sol.u - u_ref).max() <= 1e-5
+        r = np.concatenate([online.u_ini, online.y_ini + sol.sigma_y, sol.u])
+        assert np.abs(h1 @ sol.g - r).max() <= 1e-9
+
+    @pytest.mark.parametrize("name", ["svd-iter", "spc"])
+    def test_coefficients_reproduce_window_and_prediction(self, small_instances, name):
+        lib, online, _ = small_instances["noisy"]  # raw H1 has full row rank
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prelib = va.preprocess_svd_iter(lib, 2) if name == "svd-iter" else lib
+        solve = getattr(va, va.VARIANTS[name].solver)
+        sol = solve(prelib, online, make_spec(l2=30.0, ly=100.0, y_ref=np.full(8, 0.4)))
+        r = np.concatenate([online.u_ini, online.y_ini + sol.sigma_y, sol.u])
+        assert np.abs(va.stack_past_inputs(prelib) @ sol.g - r).max() <= 1e-12
+        assert np.abs(prelib.yf @ sol.g - sol.y_pred).max() <= 1e-12
+
+    @pytest.mark.parametrize("y_box", [None, (np.array([-0.2]), np.array([0.2]))])
+    @pytest.mark.parametrize("noise_var", [0.0, 0.01])
+    def test_spc_bitwise_equal_to_hand_built_program(self, small_plant, noise_var, y_box):
+        # t_ini = 4 > lag: noise-free, H1 (16 x 49) has rank 14 < 16 rows
+        lib, online, _ = bench.make_instance(
+            small_plant, T=60, t_ini=4, n_horizon=8, noise_var=noise_var,
+            u_lo=-1.0, u_hi=1.0, seed=3, x0_scale=2.0,
+        )
+        spec = replace(make_spec(ly=100.0, t_ini=4, y_ref=np.full(8, 0.4)), y_box=y_box)
+        u, y, sigma, objective = spc_hand_built(lib, online, spec)
+        sol = va.solve_classical_spc(lib, online, spec)
+        np.testing.assert_array_equal(sol.u, u)
+        np.testing.assert_array_equal(sol.y_pred, y)
+        np.testing.assert_array_equal(sol.sigma_y, sigma)
+        assert sol.objective == objective
+
+
 class TestRealizedCost:
     def test_zero_everything(self, small_plant):
         spec = make_spec()
@@ -542,8 +650,10 @@ class TestStructuralInvariants:
 
 class TestStructuredNewtonStep:
     """At paper scale an IPM iteration LU-factors only the reduced KKT matrix:
-    157 folded g (94 for svd-iter, which has no l1 term) plus the 8 U_P rows;
-    the slacks and inputs are eliminated with their Y_P and U_F rows."""
+    157 folded g plus the 8 U_P rows; the slacks and inputs are eliminated
+    with their Y_P and U_F rows.  svd-iter's predictor program keeps only 8
+    of g's coordinates: it factors them, its 80 inputs and 12 slacks plus 12
+    rows, and has no eliminated level to fall back from."""
 
     @pytest.fixture(scope="class")
     def paper_trial(self):
@@ -552,7 +662,7 @@ class TestStructuredNewtonStep:
         return cfg, plant, bench._make_spec(cfg, plant), bench._instance(cfg, plant, 0)
 
     @pytest.mark.parametrize(
-        "name, order", [("hybrid", 165), ("svd", 165), ("ddspc", 165), ("svd-iter", 104)]
+        "name, order", [("hybrid", 165), ("svd", 165), ("ddspc", 165), ("svd-iter", 112)]
     )
     def test_reduced_kkt_order(self, paper_trial, lu_sizes, name, order):
         cfg, plant, spec, instance = paper_trial
@@ -565,11 +675,11 @@ class TestStructuredNewtonStep:
         if name == "hybrid":
             assert sol.events == {"reduced_step_fallbacks": 0, "regularization_escalations": 0}
 
-    @pytest.mark.parametrize("name, orders", [("hybrid", [165, 349]), ("svd-iter", [104, 288])])
+    @pytest.mark.parametrize("name, orders", [("hybrid", [165, 349]), ("ddspc", [165, 349])])
     def test_forced_fallback(self, paper_trial, lu_sizes, monkeypatch, name, orders):
         # with no backward error small enough, every iteration falls back from
         # the reduced matrix to the folded one with nothing eliminated: 249
-        # folded variables (188 for svd-iter) plus 100 rows
+        # folded variables plus 100 rows
         cfg, plant, spec, instance = paper_trial
         caches = {}
         reference = bench._solve_variant(
