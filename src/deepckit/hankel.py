@@ -8,7 +8,7 @@ partition is a contiguous row split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -83,6 +83,12 @@ class HankelPartition:
     A pre-processing step returns a copy made with :func:`dataclasses.replace`
     whose ``provenance`` names the step (``"raw"`` for the Hankel blocks
     themselves) and, after the denoiser, whose ``slra`` holds its report.
+
+    ``_cache`` holds what is derived from the blocks once and read by every
+    controller on the library: the projector Pi1 onto the row space of
+    H1 = col(U_P, Y_P, U_F) (see :mod:`deepckit.variants`).  It is not an
+    argument of the constructor, so :func:`dataclasses.replace` starts each
+    copy, whose blocks may differ, with an empty cache.
     """
 
     up: np.ndarray
@@ -95,6 +101,7 @@ class HankelPartition:
     p: int
     provenance: str = "raw"
     slra: SlraReport | None = None
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_cols(self) -> int:

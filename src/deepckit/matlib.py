@@ -57,26 +57,34 @@ class CompactSvd:
     ``sigma`` holds the ``r`` retained singular values, positive and
     non-increasing.  Signs are fixed so the first nonzero entry of every
     right singular vector is nonnegative, which makes the factorization
-    reproducible run to run.
+    reproducible run to run.  When asked for, ``w_perp`` (rows x (rows - r))
+    and ``v_perp`` (cols x (cols - r)) complete ``w`` and ``v`` to orthonormal
+    bases: they span ``a``'s left null space and null space at this rank.
     """
 
     w: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
     rank: int
+    w_perp: np.ndarray | None = None
+    v_perp: np.ndarray | None = None
 
     def reconstruct(self) -> np.ndarray:
         """Return ``w @ diag(sigma) @ v.T``."""
         return (self.w * self.sigma) @ self.v.T
 
 
-def compact_svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> CompactSvd:
+def compact_svd(
+    a, rank_tol: float = DEFAULT_RANK_TOL, complements: bool = False
+) -> CompactSvd:
     """Compact SVD keeping only singular values above ``rank_tol * sigma_max``.
 
     Args:
         a: real matrix, all entries finite.
         rank_tol: positive relative threshold separating genuine rank from
             roundoff.
+        complements: also return the bases of both null spaces, from the
+            one full SVD.
 
     Returns:
         CompactSvd with exactly ``numeric_rank(a, rank_tol)`` triplets; a zero
@@ -85,13 +93,16 @@ def compact_svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> CompactSvd:
     arr = _as_matrix(a)
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    w_full, s_full, vt_full = _svd(arr)
+    w_full, s_full, vt_full = _svd(arr, full_matrices=complements)
     r = _count_rank(s_full, rank_tol)
     w = w_full[:, :r].copy()
     v = vt_full[:r].T.copy()
     sigma = s_full[:r].copy()
     _fix_signs(w, v)
-    return CompactSvd(w=w, sigma=sigma, v=v, rank=r)
+    if not complements:
+        return CompactSvd(w=w, sigma=sigma, v=v, rank=r)
+    return CompactSvd(w=w, sigma=sigma, v=v, rank=r,
+                      w_perp=w_full[:, r:].copy(), v_perp=vt_full[r:].T.copy())
 
 
 def _count_rank(s: np.ndarray, rank_tol: float) -> int:

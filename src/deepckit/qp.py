@@ -31,7 +31,11 @@ coefficients, and the eliminated step is kept only when its componentwise
 backward error is at roundoff (1e-14).  Otherwise, and in programs without
 separable variables, the step comes from the folded matrix with nothing
 eliminated (349x349 at paper scale), refined under the same rule, whose
-regularization is raised until it yields a finite step.  Dense factorizations
+regularization is raised until it yields a finite step.  A matrix is first
+factored with no regularization when its variable block is positive definite
+(every kept variable carries a barrier or l1 diagonal) and the equality rows
+are independent; at paper scale that holds for the ground-truth program and
+the eliminated steps of the l1-regularized DeePC programs.  Dense factorizations
 keep the solutions accurate enough to certify equivalence results to 1e-5 and
 tighter.  ``QpSolution.events`` counts the steps that fell back to the matrix
 with nothing eliminated and the times its regularization had to be raised.
@@ -40,11 +44,12 @@ The l1 terms are handled exactly by splitting each weighted variable into a
 difference of nonnegative parts (z_i = a_i - b_i); at the optimum the split is
 complementary (a_i * b_i = O(tol)).  The two parts get the same scale, so P
 and A are equilibrated over the folded variables.  Infinite bounds are treated
-as absent constraints, never as large numbers.  One SVD of the scaled folded
-equality matrix (it has the singular values of the lifted one once each l1
-column is scaled by sqrt(2)) gives the least-squares starting points, and its
-residual detects an inconsistent equality system up front, which is reported
-as Infeasible.
+as absent constraints, never as large numbers.  One factorization of the
+scaled folded equality matrix (it has the singular values of the lifted one
+once each l1 column is scaled by sqrt(2)) gives the least-squares starting
+points: a QR when its condition estimate shows the rows independent and well
+conditioned, an SVD otherwise.  The residual of the start detects an
+inconsistent equality system up front, which is reported as Infeasible.
 
 Reported residuals are relative measures: `primal_residual` scales equality
 violations by 1 + |b| + |A z| per row, `dual_residual` scales stationarity by
@@ -314,11 +319,15 @@ class _Structure:
     * Separable variables: folded variables whose row and column of P_f are
       zero off the diagonal and that appear in exactly one equality row.  Each
       can be eliminated together with its row.
+    * ``independent_rows``: whether A has linearly independent rows, as the
+      QR start of :class:`_LeastSquares` shows.  Every subset of its rows then
+      keeps that on the variables that remain after an elimination.
     """
 
-    def __init__(self, P, A, idx_l1):
+    def __init__(self, P, A, idx_l1, independent_rows=False):
         n = P.shape[0]
         self.n, self.me = n, A.shape[0]
+        self.independent_rows = independent_rows
         self.pos = idx_l1
         self.neg = n + np.arange(idx_l1.size)
         self.n_lift = n + idx_l1.size
@@ -442,8 +451,12 @@ class _FoldedStep:
     gets the regularization level ``bump`` on its kept variables (scaled by
     each one's own curvature, not by the rank-one terms) and on its kept rows,
     so that a singular block, such as non-unique g, still yields a bounded
-    step.  Every step is refined against the full lifted unregularized
-    operator, applied through :meth:`_Structure.product`.
+    step.  At the first level that shift is left out when every kept variable
+    has a positive barrier or l1-fold diagonal and the rows are independent:
+    the variable block is then positive definite and the matrix regular, so
+    the LU is of the exact operator and its step is mostly at roundoff
+    without refinement.  Every step is refined against the full lifted
+    unregularized operator, applied through :meth:`_Structure.product`.
     """
 
     def __init__(self, kkt: _Kkt, elim, bump):
@@ -467,8 +480,11 @@ class _FoldedStep:
                 m[:r, :r] += (self.a_elim.T * self.inv_c) @ self.a_elim
         d_keep = self.d_fold[self.keep]
         diagonal = m.reshape(-1)[:: r + k + 1]  # a view
-        diagonal[:r] += d_keep + _SHIFT * bump * (1.0 + np.abs(np.diag(p_keep)) + d_keep)
-        diagonal[r:] = -_SHIFT * bump
+        if bump == _BUMPS[0] and st.independent_rows and (d_keep > 0.0).all():
+            diagonal[:r] += d_keep  # positive definite block, independent rows
+        else:
+            diagonal[:r] += d_keep + _SHIFT * bump * (1.0 + np.abs(np.diag(p_keep)) + d_keep)
+            diagonal[r:] = -_SHIFT * bump
         m[:r, r:] = a_keep.T
         m[r:, :r] = a_keep
         self._lu = self._factor(m)
@@ -481,7 +497,7 @@ class _FoldedStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
             try:
-                return scipy.linalg.lu_factor(m, check_finite=False)
+                return scipy.linalg.lu_factor(m, overwrite_a=True, check_finite=False)
             except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning, ValueError):
                 return None
 
@@ -552,6 +568,8 @@ def _safe_div(num, den):
     """Elementwise division guarded against pinned (zero) slacks."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = num / den
+    if np.isfinite(out).all():
+        return out
     return np.nan_to_num(out, copy=False, nan=0.0, posinf=1e140, neginf=-1e140)
 
 
@@ -740,27 +758,55 @@ class _LeastSquares:
     The lifted matrix is A = B E', with B over the folded variables and
     E'x = :func:`_fold` (x).  With h = 1, or sqrt(2) on an l1 variable, the
     rows of h^-1 E' are orthonormal, so A = (B h)(h^-1 E') has the singular
-    values of B h and A^+ = E h^-1 (B h)^+.  One SVD of B h, which
+    values of B h and A^+ = E h^-1 (B h)^+.  One factorization of B h, which
     has n columns and not n + k, serves every solve, with
-    ``numpy.linalg.lstsq``'s default rank cut-off for A's shape.
+    ``numpy.linalg.lstsq``'s default rank cut-off for A's shape, eps times its
+    larger dimension.
+
+    A wide B h is first factored by a QR, (B h)' = Q R, which gives
+    (B h)^+ = Q R^-T when R is regular.  It is kept when a condition estimate
+    of R shows that the cut-off keeps every singular value, with room to
+    spare: kappa_2(R) <= m kappa_1(R) for m rows, and LAPACK's estimate
+    (``dtrcon``) may fall short of kappa_1, so m kappa_1 must stay below the
+    square root of the cut-off's reciprocal.  ``independent`` then records
+    that the rows of A are linearly independent.  Otherwise (rank-deficient
+    or ill-conditioned rows, or more rows than columns) an SVD of B h gives
+    the solves, cut off as lstsq would.
     """
 
     def __init__(self, B, pos):
-        n = B.shape[1]
+        m, n = B.shape
         h = np.ones(n)
         h[pos] = np.sqrt(2.0)
-        u, s, vt = np.linalg.svd(B * h, full_matrices=False)
-        keep = s > np.finfo(float).eps * max(B.shape[0], n + pos.size) * s[0]
+        cut = np.finfo(float).eps * max(m, n + pos.size)
         self.pos = pos
+        self.independent = False
+        if m <= n:
+            # (B h)' is a Fortran-ordered view, factored in place
+            q, r = scipy.linalg.qr((B * h).T, overwrite_a=True, mode="economic",
+                                   check_finite=False)
+            if m * math.sqrt(cut) < scipy.linalg.lapack.dtrcon(r)[0]:
+                self.independent = True
+                self.r, self.vt = r, q.T / h
+                return
+        u, s, vt = np.linalg.svd(B * h, full_matrices=False)
+        keep = s > cut * s[0]
         self.u, self.s, self.vt = u[:, keep], s[keep], vt[keep] / h
 
     def solve(self, rhs):
         """A^+ rhs, over the lifted variables."""
-        return _unfold(((rhs @ self.u) / self.s) @ self.vt, self.pos)
+        if self.independent:
+            t = scipy.linalg.solve_triangular(self.r, rhs, trans="T", check_finite=False)
+        else:
+            t = (rhs @ self.u) / self.s
+        return _unfold(t @ self.vt, self.pos)
 
     def solve_transpose(self, g):
         """(A^+)' g, for g over the lifted variables."""
-        return self.u @ ((self.vt @ _fold(g, self.pos)) / self.s)
+        t = self.vt @ _fold(g, self.pos)
+        if self.independent:
+            return scipy.linalg.solve_triangular(self.r, t, check_finite=False)
+        return self.u @ (t / self.s)
 
 
 def solve(
@@ -793,7 +839,7 @@ def solve(
     lsq = None
     x_start = np.zeros(q.size)
     if A.shape[0]:
-        # one SVD serves the feasibility test and both least-squares starts
+        # one factorization serves the feasibility test and both least-squares starts
         lsq = _LeastSquares(A, idx_l1)
         x_start = lsq.solve(b)
         z_ls = _fold(d_scale * x_start, idx_l1)
@@ -809,7 +855,7 @@ def solve(
                 iterations=0,
                 status=QpStatus.INFEASIBLE,
             )
-    st = _Structure(P, A, idx_l1)
+    st = _Structure(P, A, idx_l1, independent_rows=lsq is None or lsq.independent)
     x, y, zb, iters, status, (primal, dual, gap), events = _ipm(
         st, q, b, lo, hi, tol, max_iter, x_start, lsq, accept_tol
     )

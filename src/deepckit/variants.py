@@ -40,7 +40,7 @@ from scipy.linalg import block_diag
 
 from . import qp
 from .hankel import HankelPartition
-from .matlib import compact_svd, project_rows, rowspace_complement, rowspace_projector
+from .matlib import compact_svd, rowspace_projector
 from .plants import LinearPlant, rollout
 from .slra import iterative_slra
 
@@ -204,6 +204,25 @@ def stack_past_inputs(lib: HankelPartition) -> np.ndarray:
     return np.vstack([lib.up, lib.yp, lib.uf])
 
 
+def _past_projector(lib: HankelPartition) -> np.ndarray:
+    """Pi1, the projector onto the row space of H1 = col(U_P, Y_P, U_F), computed
+    at most once per library and kept in its cache.
+
+    The blocks of a library reduced by :func:`preprocess_svd` are those of its
+    source times V, the source's right singular vectors, and every row of the
+    source lies in range(V); so its Pi1 is V' Pi1 V, from the source's Pi1,
+    with no SVD of its own.
+    """
+    cache = lib._cache
+    if "pi1" not in cache:
+        if "reduced_from" in cache:
+            source, v = cache.pop("reduced_from")
+            cache["pi1"] = v.T @ _past_projector(source) @ v
+        else:
+            cache["pi1"] = rowspace_projector(stack_past_inputs(lib))
+    return cache["pi1"]
+
+
 def _check_inputs(variant: Variant, lib, online: OnlineData, spec: ControlSpec) -> None:
     """Library provenance, slack weight, spec and online windows of one solve."""
     if lib.provenance != variant.provenance:
@@ -242,7 +261,7 @@ def _solve_reduced(variant: Variant, lib, online, spec, tol, max_iter, accept_to
     lambda2 = spec.lambda2 if variant.ridge else 0.0
     g2 = None
     if lambda2 != 0.0:
-        pi1 = rowspace_projector(stack_past_inputs(lib))
+        pi1 = _past_projector(lib)
         g2 = np.eye(pi1.shape[0]) - pi1
     prog = qp.assemble_reduced(
         lib.up, lib.yp, lib.uf, lib.yf, online.u_ini, online.y_ini,
@@ -267,7 +286,7 @@ def _solve_predictor(variant: Variant, lib, online, spec, tol, max_iter, accept_
     """
     _check_inputs(variant, lib, online, spec)
     h1 = stack_past_inputs(lib)
-    dec = compact_svd(h1)
+    dec = compact_svd(h1, complements=variant.ridge)
     lead = min(dec.rank, lib.m * lib.depth) if variant.ridge else dec.rank
     h1_pinv = (dec.v[:, :lead] / dec.sigma[:lead]) @ dec.w[:, :lead].T  # as matlib.pinv
     m_t, p_t, n_u = lib.m * lib.t_ini, lib.p * lib.t_ini, lib.m * lib.n_horizon
@@ -275,11 +294,11 @@ def _solve_predictor(variant: Variant, lib, online, spec, tol, max_iter, accept_
     curvature, y_map = [2.0 * spec.r_bar(), 2.0 * spec.lambda_y * np.eye(p_t)], [t_uf, t_yp]
     basis, a_eq, b_eq = np.zeros((lib.n_cols, 0)), None, None
     if variant.ridge:
-        null = rowspace_complement(dec.v.T)
-        basis = np.hstack([dec.v[:, lead:], null])
-        curvature += [np.zeros((dec.rank - lead,) * 2), 2.0 * spec.lambda2 * np.eye(null.shape[1])]
+        basis = np.hstack([dec.v[:, lead:], dec.v_perp])
+        curvature += [np.zeros((dec.rank - lead,) * 2),
+                      2.0 * spec.lambda2 * np.eye(dec.v_perp.shape[1])]
         y_map.append(lib.yf @ basis)
-        left = np.hstack([dec.w[:, lead:], rowspace_complement(dec.w.T)])
+        left = np.hstack([dec.w[:, lead:], dec.w_perp])
         l_up, l_yp, l_uf = np.split(left.T, [m_t, m_t + p_t], axis=1)
         a_eq = np.hstack([l_uf, l_yp, -(left.T @ h1 @ basis)])
         b_eq = -(l_up @ online.u_ini + l_yp @ online.y_ini)
@@ -387,10 +406,13 @@ def preprocess_svd(lib: HankelPartition) -> HankelPartition:
     """Reduce the library's column dimension by keeping W * Sigma from its SVD.
 
     The returned blocks span the same column space as the raw library but have
-    only ``numeric_rank`` columns.
+    only ``numeric_rank`` columns.  Its Pi1 is derived from the source
+    library's when a controller first needs it (see :func:`_past_projector`).
     """
     dec = compact_svd(stack_library(lib))
-    return _library(lib, "svd", dec.w * dec.sigma)
+    reduced = _library(lib, "svd", dec.w * dec.sigma)
+    reduced._cache["reduced_from"] = (lib, dec.v)
+    return reduced
 
 
 def solve_svd(
@@ -406,9 +428,11 @@ def solve_svd(
 
 
 def build_spc_library(lib: HankelPartition) -> HankelPartition:
-    """Replace Y_F by its row-space projection M = Y_F (H1^+ H1) onto col(U_P, Y_P, U_F)."""
-    m_mat = project_rows(lib.yf, stack_past_inputs(lib))
-    return replace(lib, yf=m_mat, provenance="spc-projected")
+    """Replace Y_F by its row-space projection M = Y_F (H1^+ H1) onto col(U_P, Y_P, U_F).
+
+    H1^+ H1 is the library's Pi1, which the hybrid controller's ridge shares.
+    """
+    return replace(lib, yf=lib.yf @ _past_projector(lib), provenance="spc-projected")
 
 
 def solve_dd_spc(

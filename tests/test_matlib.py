@@ -99,6 +99,25 @@ class TestCompactSvd:
             matlib.compact_svd(np.eye(2), 0.0)
 
 
+    @pytest.mark.parametrize("shape, rank", [((7, 5), 3), ((4, 9), 4), ((9, 4), 4)])
+    def test_complements_complete_both_bases(self, shape, rank):
+        # one full SVD gives the compact factors and both null-space bases
+        rng = np.random.default_rng(rank)
+        a = random_matrix(rng, *shape, rank=rank)
+        compact = matlib.compact_svd(a)
+        dec = matlib.compact_svd(a, complements=True)
+        assert compact.w_perp is None and compact.v_perp is None
+        assert dec.rank == rank
+        assert dec.w_perp.shape == (shape[0], shape[0] - rank)
+        assert dec.v_perp.shape == (shape[1], shape[1] - rank)
+        for basis, full in ((dec.w, dec.w_perp), (dec.v, dec.v_perp)):
+            q = np.hstack([basis, full])
+            np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+        np.testing.assert_allclose(dec.reconstruct(), a, atol=1e-12)
+        for name in ("w", "sigma", "v"):
+            np.testing.assert_allclose(getattr(dec, name), getattr(compact, name), atol=1e-12)
+
+
 class TestPinv:
     def test_diagonal(self):
         np.testing.assert_allclose(

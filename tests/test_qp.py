@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from deepckit import qp
+from deepckit import bench, qp
 
 
 def random_box_qp(rng, n):
@@ -389,7 +389,29 @@ class TestFoldedSetup:
             P, q, A, b, lo, hi, idx_l1 = qp._lift_program(prob)
             A = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)[2]
             A_l = lift_matrices(P, A, idx_l1)[1]
-            self.assert_matches_lstsq(qp._LeastSquares(A, idx_l1), A_l, rng)
+            lsq = qp._LeastSquares(A, idx_l1)
+            assert lsq.independent
+            self.assert_matches_lstsq(lsq, A_l, rng)
+
+    def test_paper_scale_start_takes_the_qr(self):
+        # the hybrid program of one paper-scale trial: 100 rows, 249 folded
+        # and 406 lifted variables, well conditioned
+        cfg = bench.ExperimentConfig()
+        plant = bench._make_plant(cfg)
+        spec = bench._make_spec(cfg, plant)
+        lib, online, _ = bench._instance(cfg, plant, 0)
+        prog = qp.assemble_reduced(
+            lib.up, lib.yp, lib.uf, lib.yf, online.u_ini, online.y_ini,
+            spec.r_bar(), spec.q_bar(), spec.y_ref_vec(), lambda1=spec.lambda1,
+            lambda_y=spec.lambda_y, u_box=spec.u_box, y_box=spec.y_box,
+        )
+        P, q, A, b, lo, hi, idx_l1 = qp._lift_program(prog.qp)
+        A = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)[2]
+        A_l = lift_matrices(P, A, idx_l1)[1]
+        assert A_l.shape == (100, 406)
+        lsq = qp._LeastSquares(A, idx_l1)
+        assert lsq.independent
+        self.assert_matches_lstsq(lsq, A_l, np.random.default_rng(10))
 
     def test_start_rank_cut_off_is_the_lifted_one(self):
         # B h has singular values (1, 0.5, 0.2, s_min), and s_min lies between
@@ -403,12 +425,15 @@ class TestFoldedSetup:
         c = (u * [1.0, 0.5, 0.2, 15 * eps]) @ v.T
         B = c / np.sqrt(2.0)
         A = np.hstack([B, -B[:, pos]])
-        lsq = qp._LeastSquares(B, pos)
+        lsq = qp._LeastSquares(B, pos)  # too ill-conditioned for the QR
+        assert not lsq.independent
         assert lsq.s.size == 3 == np.linalg.matrix_rank(A)
         self.assert_matches_lstsq(lsq, A, rng)
         # duplicate rows: the cut-off removes the exact null direction
         B = np.vstack([B[:3], B[:1]])
-        self.assert_matches_lstsq(qp._LeastSquares(B, pos), np.hstack([B, -B[:, pos]]), rng)
+        lsq = qp._LeastSquares(B, pos)
+        assert not lsq.independent
+        self.assert_matches_lstsq(lsq, np.hstack([B, -B[:, pos]]), rng)
 
 
 class TestStructureProduct:
@@ -473,6 +498,27 @@ class TestEvents:
         sol = qp.solve(prob)
         assert sol.status is qp.QpStatus.INFEASIBLE
         assert sol.events == {"reduced_step_fallbacks": 0, "regularization_escalations": 0}
+
+
+class TestFirstLevelShift:
+    """The first level is factored unshifted only when its matrix is regular."""
+
+    def test_dependent_rows_keep_the_shift(self):
+        # P is positive definite and every variable boxed, but a duplicated
+        # equality row makes the KKT matrix singular: without its row shift
+        # the step is not bounded, and most of these solves fail
+        rng = np.random.default_rng(13)
+        for _ in range(8):
+            box = random_box_qp(rng, 8)
+            a_eq = rng.standard_normal((3, 8))
+            a_eq = np.vstack([a_eq, a_eq[:1]])
+            prob = qp.QuadProgram(
+                p_mat=box.p_mat, q_vec=box.q_vec, a_eq=a_eq,
+                b_eq=a_eq @ rng.uniform(-0.1, 0.1, 8), lower=box.lower, upper=box.upper,
+            )
+            sol = qp.solve(prob)
+            assert sol.status is qp.QpStatus.OPTIMAL
+            assert max(qp.kkt_residuals(sol)) <= 1e-9
 
 
 class TestDegeneratePrograms:

@@ -337,6 +337,54 @@ class TestPreprocessSvd:
             va.solve_svd(pre, online, make_spec(ly=100.0))
 
 
+class TestLibraryCache:
+    """Pi1 of H1 = col(U_P, Y_P, U_F) is factored once per library."""
+
+    @pytest.fixture
+    def projector_calls(self, monkeypatch):
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return rowspace_projector(a, *args, **kwargs)
+
+        monkeypatch.setattr(va, "rowspace_projector", counting)
+        return calls
+
+    def test_one_projector_per_instance(self, small_instances, projector_calls):
+        # hybrid's ridge and ddspc's projected library share the raw Pi1, and
+        # the svd library derives its own from it
+        lib, online, _ = small_instances["noisy"]
+        lib = replace(lib)  # a fresh copy, with nothing cached yet
+        spec = make_spec(l1=1.0, l2=30.0, ly=100.0)
+        va.solve_hybrid(lib, online, spec)
+        va.solve_dd_spc(va.build_spc_library(lib), online, spec)
+        assert projector_calls == [(12, 51)]  # H1 of the raw library
+        va.solve_svd(va.preprocess_svd(lib), online, spec)
+        assert len(projector_calls) == 1
+
+    def test_replaced_library_starts_empty(self, small_instances):
+        lib, _, _ = small_instances["noisy"]
+        lib = replace(lib)
+        pi1 = va._past_projector(lib)
+        assert lib._cache["pi1"] is pi1 is va._past_projector(lib)
+        assert replace(lib)._cache == {}
+        assert va.build_spc_library(lib)._cache == {}
+
+    @pytest.mark.parametrize("source", ["small", "paper"])
+    def test_svd_library_projector_is_its_own(self, small_instances, source):
+        # V' Pi1 V against an SVD of the reduced library's own H1
+        if source == "small":
+            lib = small_instances["noisy"][0]
+        else:
+            cfg = bench.ExperimentConfig()
+            lib = bench._instance(cfg, bench._make_plant(cfg), 0)[0]
+        pre = va.preprocess_svd(replace(lib))
+        got = va._past_projector(pre)
+        want = rowspace_projector(va.stack_past_inputs(pre))
+        assert np.abs(got - want).max() <= 1e-12
+
+
 class TestSpcLibrary:
     def test_noise_free_projection_is_identity_on_yf(self, small_instances):
         lib, _, _ = small_instances["clean"]
@@ -674,6 +722,31 @@ class TestStructuredNewtonStep:
         assert len(lu_sizes) - sol.iterations == sol.events["reduced_step_fallbacks"]
         if name == "hybrid":
             assert sol.events == {"reduced_step_fallbacks": 0, "regularization_escalations": 0}
+
+    def test_ground_truth_steps_are_not_refined(self, paper_trial, monkeypatch):
+        # every input is boxed, so the Newton matrix is positive definite and
+        # factored unshifted: its first solve is nearly always at roundoff
+        cfg, plant, spec, instance = paper_trial
+        counts = {"apply": 0, "solve": 0}
+        apply, solve = qp._FoldedStep._apply, qp._Kkt.solve
+
+        def counting_apply(self, rhs):
+            counts["apply"] += 1
+            return apply(self, rhs)
+
+        def counting_solve(self, rhs):
+            counts["solve"] += 1
+            return solve(self, rhs)
+
+        monkeypatch.setattr(qp._FoldedStep, "_apply", counting_apply)
+        monkeypatch.setattr(qp._Kkt, "solve", counting_solve)
+        sol = bench._solve_variant(
+            "ground-truth", plant, instance, spec, cfg, {}, tol=1e-9, max_iter=150,
+            accept_tol=1e-6,
+        ).solver
+        assert sol.status is qp.QpStatus.OPTIMAL
+        assert counts["solve"] == 2 * sol.iterations > 0
+        assert counts["apply"] / counts["solve"] < 1.2
 
     @pytest.mark.parametrize("name, orders", [("hybrid", [165, 349]), ("ddspc", [165, 349])])
     def test_forced_fallback(self, paper_trial, lu_sizes, monkeypatch, name, orders):
