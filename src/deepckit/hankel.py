@@ -9,6 +9,7 @@ partition is a contiguous row split.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -195,10 +196,22 @@ def hankel_project(mat, block_size: int) -> np.ndarray:
         raise ValueError(
             f"row count {rows} is not divisible by block size {block_size}"
         )
-    # entry (r, j) belongs to sample r + p*j of the generating sequence
-    idx = (np.arange(rows)[:, None] + block_size * np.arange(n_cols)).ravel()
-    means = np.bincount(idx, weights=arr.ravel()) / np.bincount(idx)
+    idx, counts = _anti_diagonals(rows, n_cols, block_size)
+    means = np.bincount(idx, weights=arr.ravel()) / counts
     return _block_hankel(means, block_size, rows // block_size)
+
+
+@lru_cache(maxsize=16)
+def _anti_diagonals(rows: int, n_cols: int, block_size: int):
+    """Sample index of every entry of a Hankel matrix, and each sample's entry count.
+
+    Entry (r, j) belongs to sample ``r + block_size*j`` of the generating
+    sequence.  Both arrays are read-only, since every caller shares them.
+    """
+    idx = (np.arange(rows)[:, None] + block_size * np.arange(n_cols)).ravel()
+    counts = np.bincount(idx)
+    idx.flags.writeable = counts.flags.writeable = False
+    return idx, counts
 
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:

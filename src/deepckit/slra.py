@@ -12,7 +12,13 @@ forms ``A = H N``, takes the top ``n_order`` eigenpairs of the small Gram
 matrix ``A.T A`` (the leading right singular vectors of ``A``), and replaces
 ``A N.T`` -- the part of ``H`` outside the row space -- by ``A V V.T N.T``.
 That is the same truncated-SVD step written for the subspace it touches, with
-no full SVD and no dense projector per pass.
+no full SVD and no dense projector per pass.  Successive Gram matrices differ
+little, so after the first pass the eigenpairs are warm-started: a few
+Rayleigh-Ritz steps from the previous pass's kept vectors, accepted only when
+a residual test and a trace test certify that they span the dominant
+subspace to LAPACK's accuracy (see :func:`_truncate`).  Otherwise the pass
+runs the partial eigensolve, and :attr:`SlraReport.full_eigensolves` counts
+those passes.
 
 The loop is the fixed-point iteration of F = hankel_project o truncate, and
 :func:`iterative_slra` speeds it up with type-II Anderson acceleration (Walker
@@ -60,6 +66,7 @@ class SlraReport:
     converged: bool
     rel_changes: list[float] = field(default_factory=list)
     rejected: int = 0  # accelerated points the safeguard refused
+    full_eigensolves: int = 0  # passes that ran scipy.linalg.eigh, not a warm start
 
 
 def range_truncate(h_y, pi2, n_order: int) -> np.ndarray:
@@ -78,14 +85,30 @@ def range_truncate(h_y, pi2, n_order: int) -> np.ndarray:
         raise ValueError("pi2 is not idempotent to 1e-8")
     if float(np.abs(pi2 - pi2.T).max()) > 1e-8 * scale:
         raise ValueError("pi2 is not symmetric to 1e-8")
-    return _truncate(h_y, rowspace_complement(pi2), n_order)
+    return _truncate(h_y, rowspace_complement(pi2), n_order, _Eigenpairs())
 
 
-def _truncate(h: np.ndarray, basis: np.ndarray, n_order: int) -> np.ndarray:
+def _truncate(h: np.ndarray, basis: np.ndarray, n_order: int, pairs: _Eigenpairs) -> np.ndarray:
     """Replace the part of ``h`` in span(``basis``) by its best rank-``n_order`` approximation.
 
     ``basis`` has orthonormal columns.  The leading right singular vectors of
-    ``A = h @ basis`` come from a partial eigensolve of ``A.T @ A``; a pair is
+    ``A = h @ basis`` are the top eigenvectors of the Gram matrix
+    ``G = A.T @ A``, which ``pairs`` keeps from pass to pass.  When the last
+    pass left a tail ratio ``(tr G - sum theta) / theta_min`` of at most 0.1,
+    up to three Rayleigh-Ritz steps start from its kept vectors V (subspace
+    iteration, Saad, *Numerical Methods for Large Eigenvalue Problems*,
+    sec. 5.2): ``Q = qr(G V)``, ``(theta, S) = eigh(Q.T G Q)``, ``V = Q S``.
+    V is accepted only under a two-part certificate:
+
+    * every residual ``||G v_i - theta_i v_i||`` is at most
+      ``dim * eps * theta_max``, the backward error of LAPACK's eigensolver,
+      so V spans an invariant subspace of G to roundoff;
+    * ``tr G - sum theta < theta_min / 2``.  G is positive semidefinite, so
+      every eigenvalue outside span(V) is at most that sum, below
+      ``theta_min``: V spans the dominant subspace, not merely an invariant
+      one.
+
+    Otherwise a partial ``scipy.linalg.eigh`` supplies them.  A pair is
     dropped when ``||A v|| <= DEFAULT_RANK_TOL * sigma_max``, the rank rule of
     :func:`~deepckit.matlib.compact_svd`.  ``||A v||`` is used instead of the
     square root of the eigenvalue, which loses half the digits.
@@ -93,15 +116,63 @@ def _truncate(h: np.ndarray, basis: np.ndarray, n_order: int) -> np.ndarray:
     if n_order < 0 or n_order > h.shape[0]:
         raise ValueError(f"n_order must lie in [0, {h.shape[0]}]")
     a = h @ basis
-    dim = basis.shape[1]
-    k = min(n_order, dim)
+    k = min(n_order, basis.shape[1])
     if k == 0:
         return h - a @ basis.T
-    _, v = scipy.linalg.eigh(a.T @ a, subset_by_index=[dim - k, dim - 1])
+    v = pairs.top(a.T @ a, k)
     av = a @ v
     norms = np.linalg.norm(av, axis=0)
     keep = norms > DEFAULT_RANK_TOL * norms.max()
     return h + (av[:, keep] @ v[:, keep].T - a) @ basis.T
+
+
+class _Eigenpairs:
+    """Top eigenvectors of successive Gram matrices, warm-started as :func:`_truncate` describes."""
+
+    WARM_TAIL = 0.1
+    RITZ_STEPS = 3
+
+    def __init__(self):
+        self._v = None  # the vectors handed out last
+        self._tail = np.inf  # their tail ratio (tr G - sum theta) / theta_min
+        self.full_eigensolves = 0  # calls answered by scipy.linalg.eigh
+
+    def top(self, gram: np.ndarray, k: int) -> np.ndarray:
+        """The ``k`` leading eigenvectors of ``gram``, in ascending order of eigenvalue."""
+        if self._tail <= self.WARM_TAIL and self._ritz(gram):
+            return self._v
+        dim = gram.shape[0]
+        theta, self._v = scipy.linalg.eigh(gram, subset_by_index=[dim - k, dim - 1])
+        self.full_eigensolves += 1
+        self._tail = self._tail_ratio(gram, theta)
+        return self._v
+
+    def _ritz(self, gram: np.ndarray) -> bool:
+        """Rayleigh-Ritz steps from the kept vectors; True when certified pairs replace them."""
+        bound = (gram.shape[0] * np.finfo(float).eps) ** 2
+        y = gram @ self._v
+        for _ in range(self.RITZ_STEPS):
+            qr, tau = lapack.dgeqrf(y)[:2]
+            q = lapack.dorgqr(qr, tau)[0]
+            gq = gram @ q
+            theta, s, info = lapack.dsyevd(q.T @ gq)
+            if info:
+                return False
+            v, y = q @ s, gq @ s  # y = G v
+            r = y - v * theta
+            residual = np.einsum("ij,ij->j", r, r).max()  # squared column norms
+            tail = self._tail_ratio(gram, theta)
+            if residual <= bound * theta[-1] ** 2 and tail < 0.5:  # the two-part certificate
+                self._v, self._tail = v, tail
+                return True
+        return False
+
+    @staticmethod
+    def _tail_ratio(gram: np.ndarray, theta: np.ndarray) -> float:
+        """``(tr G - sum theta) / theta_min``, infinite unless ``theta_min > 0``."""
+        if not theta[0] > 0.0:
+            return np.inf
+        return float(np.trace(gram) - theta.sum()) / float(theta[0])
 
 
 class _Anderson:
@@ -219,9 +290,10 @@ def iterative_slra(
         raise ValueError("eps must be positive and max_iter >= 1")
     if memory < 0:
         raise ValueError("memory must be nonnegative")
-    basis = rowspace_complement(h_u)
     if block_size < 1 or h_y.shape[0] % block_size:
         raise ValueError(f"block size {block_size} does not divide {h_y.shape[0]} rows")
+    basis = rowspace_complement(h_u)
+    pairs = _Eigenpairs()
     accel = _Anderson(memory, h_y.shape, block_size) if memory else None
     h = h_y
     rel_changes: list[float] = []
@@ -229,7 +301,7 @@ def iterative_slra(
     iters = 0
     for _ in range(max_iter):
         iters += 1
-        h2 = _truncate(h, basis, n_order)
+        h2 = _truncate(h, basis, n_order, pairs)
         h1 = hankel_project(h2, block_size)
         denom = float(np.linalg.norm(h1, "fro"))
         diff = float(np.linalg.norm(h1 - h2, "fro"))
@@ -246,4 +318,5 @@ def iterative_slra(
         converged=converged,
         rel_changes=rel_changes,
         rejected=0 if accel is None else accel.rejected,
+        full_eigensolves=pairs.full_eigensolves,
     )

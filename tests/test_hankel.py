@@ -132,6 +132,23 @@ class TestHankelProject:
         with pytest.raises(ValueError):
             hankel.hankel_project(np.zeros((5, 4)), 2)
 
+    @pytest.mark.parametrize("rows,n_cols,block_size",
+                             [(1, 1, 1), (4, 6, 1), (6, 5, 2), (6, 5, 3), (132, 157, 3)])
+    def test_bitwise_equal_to_bincount_formula(self, rows, n_cols, block_size):
+        rng = np.random.default_rng(rows + n_cols)
+        for _ in range(2):  # the second call reads the cached index
+            mat = rng.standard_normal((rows, n_cols))
+            idx = (np.arange(rows)[:, None] + block_size * np.arange(n_cols)).ravel()
+            means = np.bincount(idx, weights=mat.ravel()) / np.bincount(idx)
+            expected = means[np.arange(rows)[:, None] + block_size * np.arange(n_cols)]
+            np.testing.assert_array_equal(hankel.hankel_project(mat, block_size), expected)
+
+    def test_cached_index_is_read_only(self):
+        hankel.hankel_project(np.ones((6, 5)), 2)
+        for arr in hankel._anti_diagonals(6, 5, 2):
+            with pytest.raises(ValueError):
+                arr[0] = 7
+
 
 class TestFundamentalLemmaConsistency:
     def test_columns_and_fresh_trajectories_in_column_space(self, small_plant):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from deepckit import slra
 from deepckit.hankel import build_block_hankel, hankel_project
@@ -101,6 +102,7 @@ class TestIterativeSlra:
         report = slra.iterative_slra(h_y_clean, h_u, 8, eps=1e-6, block_size=3)
         assert report.converged
         assert report.iterations <= 2
+        assert report.full_eigensolves == 1
         rel = np.linalg.norm(report.h_y_star - h_y_clean) / np.linalg.norm(h_y_clean)
         assert rel <= 1e-10
 
@@ -201,6 +203,15 @@ class TestIterativeSlra:
         with pytest.raises(ValueError, match="memory"):
             slra.iterative_slra(h_y, h_u, 8, block_size=3, memory=-1)
 
+    def test_bad_block_size_rejected_before_the_svd(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(slra, "rowspace_complement", lambda a: calls.append(a))
+        h_u, h_y, _ = noisy_pair(seed=15)
+        for block_size in (0, 5):
+            with pytest.raises(ValueError, match="block size"):
+                slra.iterative_slra(h_y, h_u, 8, block_size=block_size)
+        assert calls == []
+
 
 class TestAcceleration:
     @pytest.mark.parametrize("seed", [*range(1000, 1005), 2110, 2148])
@@ -211,6 +222,7 @@ class TestAcceleration:
         report = slra.iterative_slra(h_y, h_u, 8, eps=1e-6, max_iter=200, block_size=3)
         assert report.converged
         assert report.final_rel_change <= 1e-6
+        assert report.full_eigensolves < report.iterations
         # exactly block-Hankel: each block equals its up-right neighbour bit for bit
         blocks = report.h_y_star.reshape(-1, 3, h_y.shape[1])
         np.testing.assert_array_equal(blocks[1:, :, :-1], blocks[:-1, :, 1:])
@@ -236,6 +248,74 @@ class TestAcceleration:
                                      memory=1)
         assert report.rejected >= 1
         assert len(report.rel_changes) == report.iterations == len(calls)
+
+
+def gram_with_spectrum(eigenvalues, seed):
+    """A symmetric matrix with the given eigenvalues and its eigenvectors, as columns in that order."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigenvalues),) * 2))[0]
+    return (q * eigenvalues) @ q.T, q
+
+
+def dominant_pairs(gram, k):
+    dim = gram.shape[0]
+    return scipy.linalg.eigh(gram, subset_by_index=[dim - k, dim - 1])
+
+
+class TestWarmEigenpairs:
+    def test_certified_pairs_match_eigh_within_residual_over_gap(self):
+        # paper-scale shape: 69 x 69, 8 kept pairs over a tail at most 1e-6 of the smallest
+        lam = np.concatenate([np.geomspace(1e-6, 1e-9, 61), np.geomspace(1.0, 1e3, 8)])
+        gram, q = gram_with_spectrum(lam, seed=0)
+        start = q[:, -8:] + 1e-4 * np.random.default_rng(1).standard_normal((69, 8))
+        pairs = slra._Eigenpairs()
+        pairs._v, pairs._tail = np.linalg.qr(start)[0], 0.0
+        v = pairs.top(gram, 8)
+        assert pairs.full_eigensolves == 0
+        theta = np.diag(v.T @ gram @ v)
+        residual = np.linalg.norm(gram @ v - v * theta, axis=0)
+        assert residual.max() <= 69 * np.finfo(float).eps * theta.max()
+        theta_ref, w = dominant_pairs(gram, 8)
+        residual_ref = np.linalg.norm(gram @ w - w * theta_ref)
+        gap = theta.min() - lam[:61].max()
+        # Davis-Kahan: each projector lies within its residual / gap of the exact one
+        bound = (np.linalg.norm(residual) + residual_ref) / gap
+        assert np.linalg.norm(v @ v.T - w @ w.T, 2) <= bound
+
+    def test_non_dominant_invariant_subspace_falls_back(self):
+        # a start spanning eigenvectors 9-16 is invariant, so its Ritz residuals
+        # are at roundoff; only the trace test sees that larger eigenvalues remain
+        lam = np.concatenate([np.full(53, 1e-6), np.linspace(1.0, 2.0, 8), np.linspace(5.0, 10.0, 8)])
+        gram, q = gram_with_spectrum(lam, seed=2)
+        start = q[:, 53:61]
+        step = np.linalg.qr(gram @ start)[0]
+        theta, s = np.linalg.eigh(step.T @ gram @ step)
+        v = step @ s
+        assert np.linalg.norm(gram @ v - v * theta, axis=0).max() <= 69 * np.finfo(float).eps * theta.max()
+        assert np.trace(gram) - theta.sum() >= theta.min() / 2
+        pairs = slra._Eigenpairs()
+        pairs._v, pairs._tail = start, 0.0
+        got = pairs.top(gram, 8)
+        assert pairs.full_eigensolves == 1
+        _, w = dominant_pairs(gram, 8)
+        np.testing.assert_allclose(got @ got.T, w @ w.T, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1000, 1003, 2110])
+    def test_paper_scale_matches_a_cold_loop(self, seed, monkeypatch):
+        h_u, h_y, _ = noisy_pair(seed)
+        warm = slra.iterative_slra(h_y, h_u, 8, eps=1e-6, max_iter=200, block_size=3)
+
+        class ColdEigenpairs:
+            full_eigensolves = 0
+
+            def top(self, gram, k):
+                return dominant_pairs(gram, k)[1]
+
+        monkeypatch.setattr(slra, "_Eigenpairs", ColdEigenpairs)
+        cold = slra.iterative_slra(h_y, h_u, 8, eps=1e-6, max_iter=200, block_size=3)
+        assert warm.full_eigensolves < warm.iterations
+        assert warm.converged == cold.converged
+        rel = np.linalg.norm(warm.h_y_star - cold.h_y_star) / np.linalg.norm(cold.h_y_star)
+        assert rel <= 1e-8
 
 
 @pytest.mark.parametrize("n_order", [0, 2, 8, 10])
