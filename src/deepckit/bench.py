@@ -63,6 +63,8 @@ _MASK64 = (1 << 64) - 1
 VARIANT_CHOICES = tuple(va.VARIANTS)
 DEFAULT_VARIANTS = ("hybrid", "svd", "ddspc", "svd-iter")
 _FAIL_SENTINEL = float("nan")
+# the solve options of every Monte Carlo run (benchmark, sweep)
+_MC_SOLVE_OPTS = {"tol": 1e-9, "max_iter": 150, "accept_tol": 1e-6}
 
 
 @dataclass
@@ -104,6 +106,10 @@ class ExperimentConfig:
             raise ValueError("u_min must not exceed u_max")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not self.slra_eps > 0.0:
+            raise ValueError("slra_eps must be positive")
+        if self.slra_order is not None and self.slra_order < 1:
+            raise ValueError("slra_order must be at least 1")
         self.variants = tuple(self.variants)
         for name in self.variants:
             if name not in VARIANT_CHOICES:
@@ -382,11 +388,10 @@ def _run_trials(cfg: ExperimentConfig, plant, spec, variant_names):
         instance = _instance(cfg, plant, trial)
         x_true = instance[2]
         caches: dict = {}
-        opts = dict(tol=1e-9, max_iter=150, accept_tol=1e-6)
         for name in costs:
             t0 = time.perf_counter()
             try:
-                sol = _solve_variant(name, plant, instance, spec, cfg, caches, **opts)
+                sol = _solve_variant(name, plant, instance, spec, cfg, caches, **_MC_SOLVE_OPTS)
             except va.VariantError:
                 failures[name] += 1
                 costs[name].append(_FAIL_SENTINEL)
@@ -499,8 +504,7 @@ def cmd_sweep(cfg: ExperimentConfig, lambda1_grid, lambda2_grid) -> Path:
                 spec = replace(base, lambda1=lam1, lambda2=lam2)
                 try:
                     sol = _solve_variant(
-                        name, plant, instance, spec, cfg, caches,
-                        tol=1e-9, max_iter=150, accept_tol=1e-6,
+                        name, plant, instance, spec, cfg, caches, **_MC_SOLVE_OPTS
                     )
                     cost = va.realized_cost(plant, instance[2], sol.u, spec)
                 except (va.VariantError, PlantDiverged):

@@ -67,6 +67,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
+from .matlib import _svd
+
 __all__ = [
     "QpStatus",
     "QuadProgram",
@@ -591,11 +593,17 @@ def _ipm(st, q, b, lo, hi, tol, max_iter, x_start, lsq, accept_tol=None):
     judged against ``accept_tol``.  Returns the iterate with the stacked bound
     duals, the iteration count, the status, the residuals and the solver's
     event counts.
+
+    One loop serves programs with and without finite bounds.  Without one,
+    the slack and dual vectors are empty, so mu = mu_aff = 0 and sigma = 0:
+    the corrector's right-hand side is the predictor's, and each iteration is
+    one full Newton step on that iterate's LU, under the same start test,
+    best-iterate rule and stall rule as a boxed program.
     """
     accept_tol = tol if accept_tol is None else max(tol, accept_tol)
     n = q.size
     bounds = _Bounds(lo, hi)
-    nb = bounds.size
+    nb = max(bounds.size, 1)  # with no bound, mu = mu_aff = 0
     events = _new_events()
 
     x = _push_interior(x_start, lo, hi)
@@ -606,24 +614,6 @@ def _ipm(st, q, b, lo, hi, tol, max_iter, x_start, lsq, accept_tol=None):
     resid = grad + _unfold(st.a_fold.T @ y, st.pos)
     z = np.maximum(1.0, bounds.sign * resid[bounds.idx])
     residuals, (grad, rd, rp, slack) = _measure(st, q, b, bounds, x, y, z)
-
-    if nb == 0:
-        # Equality-constrained QP: Newton is exact, polish a few times.
-        kkt = _Kkt(st, np.zeros(n), events)
-        iters = 0
-        for _ in range(3):
-            iters += 1
-            try:
-                w = kkt.solve(np.concatenate([-rd, -rp]))
-            except np.linalg.LinAlgError:
-                break
-            x = x + w[:n]
-            y = y + w[n:]
-            residuals, (_, rd, rp, _) = _measure(st, q, b, bounds, x, y, z)
-            if _merit(residuals) <= tol:
-                break
-        status = QpStatus.OPTIMAL if _merit(residuals) <= accept_tol else QpStatus.MAX_ITERATIONS
-        return x, y, z, iters, status, residuals, events
 
     best = None  # (merit, x, y, z, residuals); iterates are never updated in place
     stalled = 0
@@ -646,24 +636,21 @@ def _ipm(st, q, b, lo, hi, tol, max_iter, x_start, lsq, accept_tol=None):
         bounds.add(diag, np.minimum(z / s, 1e16))
         kkt = _Kkt(st, diag, events)
 
-        # predictor (affine scaling) direction; ds is the bound slacks' step
         try:
+            # predictor (affine scaling) direction; ds is the bound slacks' step
             w = kkt.solve(np.concatenate([-grad, -rp]))
-        except np.linalg.LinAlgError:
-            break
-        ds = bounds.sign * w[bounds.idx]
-        dz = _safe_div(-s * z - z * ds, s)
-        ap = min(1.0, _max_step(s, ds))
-        ad = min(1.0, _max_step(z, dz))
-        mu_aff = float((s + ap * ds) @ (z + ad * dz)) / nb
-        # the ratio is clamped before cubing: a Python float overflow raises
-        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.0
+            ds = bounds.sign * w[bounds.idx]
+            dz = _safe_div(-s * z - z * ds, s)
+            ap = min(1.0, _max_step(s, ds))
+            ad = min(1.0, _max_step(z, dz))
+            mu_aff = float((s + ap * ds) @ (z + ad * dz)) / nb
+            # the ratio is clamped before cubing: a Python float overflow raises
+            sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.0
 
-        # corrector
-        r = sigma * mu - s * z - ds * dz
-        rhs_x = -rd
-        bounds.add(rhs_x, bounds.sign * _safe_div(r, s))
-        try:
+            # corrector
+            r = sigma * mu - s * z - ds * dz
+            rhs_x = -rd
+            bounds.add(rhs_x, bounds.sign * _safe_div(r, s))
             w = kkt.solve(np.concatenate([rhs_x, -rp]))
         except np.linalg.LinAlgError:
             break
@@ -770,8 +757,9 @@ class _LeastSquares:
     (``dtrcon``) may fall short of kappa_1, so m kappa_1 must stay below the
     square root of the cut-off's reciprocal.  ``independent`` then records
     that the rows of A are linearly independent.  Otherwise (rank-deficient
-    or ill-conditioned rows, or more rows than columns) an SVD of B h gives
-    the solves, cut off as lstsq would.
+    or ill-conditioned rows, or more rows than columns) an SVD of B h
+    (``matlib``'s, with its gesvd fallback) gives the solves, cut off as
+    lstsq would.
     """
 
     def __init__(self, B, pos):
@@ -789,7 +777,7 @@ class _LeastSquares:
                 self.independent = True
                 self.r, self.vt = r, q.T / h
                 return
-        u, s, vt = np.linalg.svd(B * h, full_matrices=False)
+        u, s, vt = _svd(B * h)
         keep = s > cut * s[0]
         self.u, self.s, self.vt = u[:, keep], s[keep], vt[keep] / h
 

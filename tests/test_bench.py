@@ -52,6 +52,18 @@ class TestConfig:
             fast_config(tmp_path, variants=("basic", "spc"), lambda_y=0.0)
         assert fast_config(tmp_path, variants=("basic",), lambda_y=0.0).lambda_y == 0.0
 
+    def test_denoiser_settings_validated_up_front(self, tmp_path):
+        # rejected before config.json is written, not in svd-iter's preprocessing
+        for eps in (0.0, -1e-6, float("nan")):
+            with pytest.raises(ValueError, match="slra_eps must be positive"):
+                fast_config(tmp_path, slra_eps=eps)
+        for order in (0, -2):
+            with pytest.raises(ValueError, match="slra_order must be at least 1"):
+                fast_config(tmp_path, slra_order=order)
+        assert not (tmp_path / "out").exists()
+        assert fast_config(tmp_path, slra_order=None).slra_order is None
+        assert fast_config(tmp_path, slra_order=1, slra_eps=1e-3).slra_order == 1
+
     def test_echo_and_hash(self, tmp_path):
         cfg = fast_config(tmp_path)
         cfg.echo(tmp_path / "out")
