@@ -65,6 +65,8 @@ DEFAULT_VARIANTS = ("hybrid", "svd", "ddspc", "svd-iter")
 _FAIL_SENTINEL = float("nan")
 # the solve options of every Monte Carlo run (benchmark, sweep)
 _MC_SOLVE_OPTS = {"tol": 1e-9, "max_iter": 150, "accept_tol": 1e-6}
+# XML text escapes for emit_svg (xml.sax.saxutils would import urllib.request)
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 @dataclass
@@ -100,8 +102,15 @@ class ExperimentConfig:
             raise ValueError("eps must lie in [0, 1]")
         if self.t_ini + self.n_horizon >= self.T:
             raise ValueError("t_ini + n_horizon must be smaller than T")
-        if self.noise_var < 0.0 or min(self.lambda1, self.lambda2, self.lambda_y) < 0:
-            raise ValueError("noise variance and lambdas must be nonnegative")
+        if not np.isfinite([
+            self.noise_var, self.lambda1, self.lambda2, self.lambda_y, self.u_min, self.u_max,
+            self.q_scale, self.r_scale, self.x0_scale, self.excitation_scale,
+        ]).all():
+            raise ValueError("noise variance, lambdas, input box and scales must be finite")
+        if min(self.noise_var, self.lambda1, self.lambda2, self.lambda_y, self.q_scale) < 0.0:
+            raise ValueError("noise variance, lambdas and q_scale must be nonnegative")
+        if min(self.r_scale, self.excitation_scale) <= 0.0:
+            raise ValueError("r_scale and excitation_scale must be positive")
         if self.u_min > self.u_max:
             raise ValueError("u_min must not exceed u_max")
         if self.trials < 1:
@@ -584,8 +593,10 @@ def emit_svg(series, path, title: str = "", x_label: str = "", y_label: str = ""
     """Write a standalone SVG line chart: axes, ticks, legend, one polyline per series.
 
     ``series`` is an iterable of ``(name, x, y)`` with finite, equal-length
-    arrays.  An empty list still yields a valid SVG with axes only.
+    arrays.  An empty list still yields a valid SVG with axes only.  Title,
+    labels and series names are XML-escaped.
     """
+    title, x_label, y_label = (text.translate(_XML_TEXT) for text in (title, x_label, y_label))
     width, height = 800.0, 500.0
     ml, mr, mt, mb = 70.0, 170.0, 45.0, 55.0
     plot_w = width - ml - mr
@@ -599,7 +610,7 @@ def emit_svg(series, path, title: str = "", x_label: str = "", y_label: str = ""
             raise ValueError(f"series '{name}' has mismatched lengths")
         if xs.size and not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError(f"series '{name}' contains non-finite values")
-        cleaned.append((str(name), xs, ys))
+        cleaned.append((str(name).translate(_XML_TEXT), xs, ys))
 
     if any(xs.size for _, xs, _ in cleaned):
         x_min = min(float(xs.min()) for _, xs, _ in cleaned if xs.size)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .matlib import DEFAULT_RANK_TOL, _as_matrix, numeric_rank
+from .matlib import _as_matrix, numeric_rank
 
 if TYPE_CHECKING:  # slra imports this module
     from .slra import SlraReport
@@ -143,13 +143,11 @@ def _block_hankel(samples, q: int, depth: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(x, (q * depth, n_cols), strides).copy()
 
 
-def is_persistently_exciting(
-    signal, order: int, rank_tol: float = DEFAULT_RANK_TOL
-) -> bool:
+def is_persistently_exciting(signal, order: int) -> bool:
     """True iff the depth-``order`` Hankel of the signal has full row rank."""
     sig = _as_signal(signal)
     h = build_block_hankel(sig, order)
-    return numeric_rank(h, rank_tol) == sig.shape[1] * order
+    return numeric_rank(h) == sig.shape[1] * order
 
 
 def partition(traj: Trajectory, t_ini: int, n_horizon: int) -> HankelPartition:
@@ -229,15 +227,21 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def load_trajectory_csv(path) -> Trajectory:
-    """Read a trajectory written by :func:`save_trajectory_csv`."""
+    """Read a trajectory written by :func:`save_trajectory_csv`.
+
+    Raises:
+        ValueError: unless the header is exactly ``t,u1..um,y1..yp`` with
+            ``m, p >= 1`` and at least one data row follows it.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
-        if not header or header[0] != "t":
-            raise ValueError(f"unexpected trajectory CSV header: {header}")
         m = sum(1 for name in header if name.startswith("u"))
-        p = sum(1 for name in header if name.startswith("y"))
-        if m == 0 or p == 0 or 1 + m + p != len(header):
+        p = len(header) - 1 - m
+        names = ["t", *(f"u{i + 1}" for i in range(m)), *(f"y{i + 1}" for i in range(p))]
+        if m == 0 or p < 1 or header != names:
             raise ValueError(f"unexpected trajectory CSV header: {header}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
+        raise ValueError(f"trajectory CSV {path} has no data rows")
     data = np.array([[float(v) for v in row[1:]] for row in rows])
     return Trajectory(u_d=data[:, :m], y_d=data[:, m:])

@@ -1,9 +1,10 @@
-"""Dense real-matrix kernels: compact SVD, pseudoinverse, rank, row-space projector and complement.
+"""Dense real-matrix kernels: compact SVD, pseudoinverse, rank and row-space projector.
 
 Every routine is a pure function of finite float64 matrices, deterministic for
-a fixed input, and safe to call concurrently.  Numerical rank decisions use a
-relative threshold on singular values (``DEFAULT_RANK_TOL`` unless a caller
-overrides it).
+a fixed input, and safe to call concurrently.  :func:`compact_svd` is the one
+SVD entry point, and every rank decision it makes keeps the singular values
+above ``DEFAULT_RANK_TOL * sigma_max``; only :func:`numeric_rank` takes another
+threshold, for asking the rank of noisy data.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ __all__ = [
     "compact_svd",
     "pinv",
     "rowspace_projector",
-    "rowspace_complement",
     "numeric_rank",
-    "project_rows",
 ]
 
 DEFAULT_RANK_TOL = 1e-10
@@ -74,27 +73,20 @@ class CompactSvd:
         return (self.w * self.sigma) @ self.v.T
 
 
-def compact_svd(
-    a, rank_tol: float = DEFAULT_RANK_TOL, complements: bool = False
-) -> CompactSvd:
-    """Compact SVD keeping only singular values above ``rank_tol * sigma_max``.
+def compact_svd(a, *, complements: bool = False) -> CompactSvd:
+    """Compact SVD keeping only singular values above ``DEFAULT_RANK_TOL * sigma_max``.
 
     Args:
         a: real matrix, all entries finite.
-        rank_tol: positive relative threshold separating genuine rank from
-            roundoff.
         complements: also return the bases of both null spaces, from the
             one full SVD.
 
     Returns:
-        CompactSvd with exactly ``numeric_rank(a, rank_tol)`` triplets; a zero
-        matrix yields rank 0 and empty factors.
+        CompactSvd with exactly ``numeric_rank(a)`` triplets; a zero matrix
+        yields rank 0 and empty factors.
     """
-    arr = _as_matrix(a)
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    w_full, s_full, vt_full = _svd(arr, full_matrices=complements)
-    r = _count_rank(s_full, rank_tol)
+    w_full, s_full, vt_full = _svd(_as_matrix(a), full_matrices=complements)
+    r = _count_rank(s_full, DEFAULT_RANK_TOL)
     w = w_full[:, :r].copy()
     v = vt_full[:r].T.copy()
     sigma = s_full[:r].copy()
@@ -124,41 +116,20 @@ def _fix_signs(w: np.ndarray, v: np.ndarray) -> None:
     w[:, flip] *= -1.0
 
 
-def pinv(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the compact SVD (``v @ diag(1/sigma) @ w.T``)."""
-    dec = compact_svd(a, rank_tol)
-    if dec.rank == 0:
-        arr = np.asarray(a, dtype=float)
-        return np.zeros((arr.shape[1], arr.shape[0]))
+    dec = compact_svd(a)
     return (dec.v / dec.sigma) @ dec.w.T
 
 
-def rowspace_projector(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def rowspace_projector(a) -> np.ndarray:
     """Orthogonal projector onto the row space of ``a``.
 
     Equals ``pinv(a) @ a``; computed as ``v @ v.T`` from the compact SVD so the
     result is symmetric to machine precision and idempotent.
     """
-    arr = _as_matrix(a)
-    dec = compact_svd(arr, rank_tol)
-    if dec.rank == 0:
-        return np.zeros((arr.shape[1], arr.shape[1]))
+    dec = compact_svd(a)
     return dec.v @ dec.v.T
-
-
-def rowspace_complement(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (cols x (cols - r)) of the orthogonal complement of ``a``'s row space.
-
-    ``r`` is the rank :func:`compact_svd` keeps at ``rank_tol``; the columns are
-    the trailing right singular vectors of a full SVD, so ``n @ n.T`` equals
-    ``I - rowspace_projector(a, rank_tol)`` to machine precision.  A matrix of
-    full column rank yields a (cols x 0) basis.
-    """
-    arr = _as_matrix(a)
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    _, s, vt = _svd(arr, full_matrices=True)
-    return vt[_count_rank(s, rank_tol):].T.copy()
 
 
 def numeric_rank(a, rank_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -167,14 +138,3 @@ def numeric_rank(a, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
     return _count_rank(_svd(arr, compute_uv=False), rank_tol)
-
-
-def project_rows(b, a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Project the rows of ``b`` onto the row space of ``a``: ``b @ (pinv(a) @ a)``."""
-    b_arr = _as_matrix(b, "b")
-    a_arr = _as_matrix(a, "a")
-    if b_arr.shape[1] != a_arr.shape[1]:
-        raise ValueError(
-            f"column mismatch: b has {b_arr.shape[1]} columns, a has {a_arr.shape[1]}"
-        )
-    return b_arr @ rowspace_projector(a_arr, rank_tol)

@@ -168,8 +168,8 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.variance < 0.0:
-            raise ValueError("variance must be nonnegative")
+        if not 0.0 <= self.variance < np.inf:
+            raise ValueError("variance must be finite and nonnegative")
 
 
 def rollout(plant, x0, u_seq):

@@ -45,7 +45,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .hankel import _block_hankel, hankel_project
-from .matlib import DEFAULT_RANK_TOL, _as_matrix, rowspace_complement
+from .matlib import DEFAULT_RANK_TOL, _as_matrix, compact_svd
 
 __all__ = ["SlraReport", "range_truncate", "iterative_slra"]
 
@@ -85,7 +85,7 @@ def range_truncate(h_y, pi2, n_order: int) -> np.ndarray:
         raise ValueError("pi2 is not idempotent to 1e-8")
     if float(np.abs(pi2 - pi2.T).max()) > 1e-8 * scale:
         raise ValueError("pi2 is not symmetric to 1e-8")
-    return _truncate(h_y, rowspace_complement(pi2), n_order, _Eigenpairs())
+    return _truncate(h_y, compact_svd(pi2, complements=True).v_perp, n_order, _Eigenpairs())
 
 
 def _truncate(h: np.ndarray, basis: np.ndarray, n_order: int, pairs: _Eigenpairs) -> np.ndarray:
@@ -292,7 +292,7 @@ def iterative_slra(
         raise ValueError("memory must be nonnegative")
     if block_size < 1 or h_y.shape[0] % block_size:
         raise ValueError(f"block size {block_size} does not divide {h_y.shape[0]} rows")
-    basis = rowspace_complement(h_u)
+    basis = compact_svd(h_u, complements=True).v_perp
     pairs = _Eigenpairs()
     accel = _Anderson(memory, h_y.shape, block_size) if memory else None
     h = h_y

@@ -69,6 +69,18 @@ __all__ = [
 ]
 
 
+def _check_weight(name: str, weight: np.ndarray, definite: bool) -> None:
+    """Reject a stage weight that is not square, finite, symmetric and PSD (PD if ``definite``)."""
+    if weight.ndim != 2 or weight.shape[0] != weight.shape[1] or not np.isfinite(weight).all():
+        raise ValueError(f"{name} must be a finite square matrix, got shape {weight.shape}")
+    scale = float(np.abs(weight).max())
+    if float(np.abs(weight - weight.T).max()) > 1e-12 * scale:
+        raise ValueError(f"{name} must be symmetric")
+    low = float(np.linalg.eigvalsh(weight)[0])
+    if low <= 0.0 if definite else low < -1e-12 * scale:
+        raise ValueError(f"{name} must be positive {'definite' if definite else 'semidefinite'}")
+
+
 @dataclass(frozen=True)
 class ControlSpec:
     """Horizons, stage weights, regularizer strengths, constraint boxes, reference.
@@ -94,10 +106,12 @@ class ControlSpec:
     def __post_init__(self):
         if self.t_ini < 1 or self.n_horizon < 1:
             raise ValueError("t_ini and n_horizon must be positive")
-        object.__setattr__(self, "q_weight", np.atleast_2d(np.asarray(self.q_weight, dtype=float)))
-        object.__setattr__(self, "r_weight", np.atleast_2d(np.asarray(self.r_weight, dtype=float)))
-        if min(self.lambda1, self.lambda2, self.lambda_y) < 0.0:
-            raise ValueError("regularizer weights must be nonnegative")
+        for name, definite in (("q_weight", False), ("r_weight", True)):
+            weight = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            _check_weight(name, weight, definite)
+            object.__setattr__(self, name, weight)
+        if not all(0.0 <= lam < np.inf for lam in (self.lambda1, self.lambda2, self.lambda_y)):
+            raise ValueError("regularizer weights must be finite and nonnegative")
         if self.y_ref is not None:
             object.__setattr__(self, "y_ref", np.asarray(self.y_ref, dtype=float).ravel())
             if self.y_ref.size != self.p * self.n_horizon:

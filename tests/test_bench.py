@@ -5,8 +5,9 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
         assert fast_config(tmp_path, slra_order=None).slra_order is None
         assert fast_config(tmp_path, slra_order=1, slra_eps=1e-3).slra_order == 1
+
+    @pytest.mark.parametrize("field, value", [
+        *((name, bad) for name in (
+            "noise_var", "lambda1", "lambda2", "lambda_y", "u_min", "u_max",
+            "q_scale", "r_scale", "x0_scale", "excitation_scale",
+        ) for bad in (float("nan"), float("inf"))),
+        ("q_scale", -1.0), ("r_scale", 0.0), ("r_scale", -0.1), ("excitation_scale", -1.0),
+    ])
+    def test_bad_value_rejected_before_config_json(self, tmp_path, field, value):
+        values = {**asdict(fast_config(tmp_path)), field: value}
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(values))  # json writes NaN and Infinity
+        with pytest.raises(ValueError, match="must be"):
+            bench.main(["benchmark", "--config", str(config), "--trials", "1"])
+        assert not (tmp_path / "out" / "config.json").exists()
 
     def test_echo_and_hash(self, tmp_path):
         cfg = fast_config(tmp_path)
@@ -440,6 +456,15 @@ class TestEmitSvg:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             bench.emit_svg([("bad", [0.0, 1.0], [0.0, np.inf])], tmp_path / "x.svg")
+
+    def test_markup_in_text_is_escaped(self, tmp_path):
+        path = tmp_path / "markup.svg"
+        bench.emit_svg([("a<b & c", [0.0, 1.0], [0.0, 1.0])], path,
+                       title="x > 1 & y", x_label="<t>", y_label='"y" & \'z\'')
+        texts = [node.firstChild.data
+                 for node in minidom.parse(str(path)).getElementsByTagName("text")]
+        for text in ("a<b & c", "x > 1 & y", "<t>", '"y" & \'z\''):
+            assert text in texts
 
 
 class TestCli:

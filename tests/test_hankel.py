@@ -191,6 +191,19 @@ class TestTrajectoryCsv:
         np.testing.assert_array_equal(back.u_d, traj.u_d)
         np.testing.assert_array_equal(back.y_d, traj.y_d)
 
+    @pytest.mark.parametrize("text, match", [
+        ("t,u1,y1\n", "no data rows"),
+        ("t,y1,u1\n0,1.0,2.0\n", "unexpected trajectory CSV header"),
+        ("t,u2,y1\n0,1.0,2.0\n", "unexpected trajectory CSV header"),
+        ("t,u1,u2\n0,1.0,2.0\n", "unexpected trajectory CSV header"),
+        ("time,u1,y1\n0,1.0,2.0\n", "unexpected trajectory CSV header"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            hankel.load_trajectory_csv(path)
+
     def test_mismatched_rows_rejected(self):
         with pytest.raises(ValueError):
             hankel.Trajectory(u_d=np.zeros((4, 1)), y_d=np.zeros((5, 1)))

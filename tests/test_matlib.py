@@ -12,6 +12,10 @@ from deepckit.plants import LinearPlant, NoiseSpec, collect_trajectory
 from conftest import random_matrix
 
 
+def project_rows(b, a):
+    return b @ matlib.rowspace_projector(a)
+
+
 def penrose_residuals(a, a_pinv):
     """Max-abs residuals of the four defining pseudoinverse identities."""
     return (
@@ -24,14 +28,14 @@ def penrose_residuals(a, a_pinv):
 
 class TestCompactSvd:
     def test_identity(self):
-        dec = matlib.compact_svd(np.eye(2), 1e-12)
+        dec = matlib.compact_svd(np.eye(2))
         assert dec.rank == 2
         np.testing.assert_allclose(dec.sigma, [1.0, 1.0])
         np.testing.assert_allclose(np.abs(dec.w), np.eye(2), atol=1e-14)
         np.testing.assert_allclose(dec.reconstruct(), np.eye(2), atol=1e-14)
 
     def test_one_zero_singular_value(self):
-        dec = matlib.compact_svd(np.diag([3.0, 0.0]), 1e-12)
+        dec = matlib.compact_svd(np.diag([3.0, 0.0]))
         assert dec.rank == 1
         np.testing.assert_allclose(dec.sigma, [3.0])
         np.testing.assert_allclose(dec.w.ravel(), [1.0, 0.0], atol=1e-14)
@@ -94,10 +98,10 @@ class TestCompactSvd:
         with pytest.raises(ValueError):
             matlib.compact_svd([[np.inf, 1.0]])
 
-    def test_rejects_bad_rank_tol(self):
-        with pytest.raises(ValueError):
-            matlib.compact_svd(np.eye(2), 0.0)
-
+    def test_complements_is_keyword_only(self):
+        # a stale positional rank_tol must not bind to ``complements``
+        with pytest.raises(TypeError):
+            matlib.compact_svd(np.eye(2), 1e-12)
 
     @pytest.mark.parametrize("shape, rank", [((7, 5), 3), ((4, 9), 4), ((9, 4), 4)])
     def test_complements_complete_both_bases(self, shape, rank):
@@ -202,7 +206,7 @@ class TestRowspaceComplement:
     def test_orthonormal_complement_of_projector(self, shape, rank):
         rng = np.random.default_rng(rank)
         a = random_matrix(rng, *shape, rank=rank) if rank else np.zeros(shape)
-        n = matlib.rowspace_complement(a)
+        n = matlib.compact_svd(a, complements=True).v_perp
         assert n.shape == (shape[1], shape[1] - rank)
         np.testing.assert_allclose(n.T @ n, np.eye(n.shape[1]), atol=1e-12)
         np.testing.assert_allclose(
@@ -216,6 +220,10 @@ class TestNumericRank:
 
     def test_zero_matrix(self):
         assert matlib.numeric_rank(np.zeros((3, 3))) == 0
+
+    def test_rejects_bad_rank_tol(self):
+        with pytest.raises(ValueError, match="rank_tol must be positive"):
+            matlib.numeric_rank(np.eye(2), 0.0)
 
     def test_lti_hankel_rank(self):
         # depth-L stacked Hankel of noise-free LTI data has rank m*L + n
@@ -233,13 +241,15 @@ class TestNumericRank:
 
 
 class TestProjectRows:
+    """Rows of ``b`` projected onto the row space of ``a`` as ``b @ rowspace_projector(a)``."""
+
     def test_identity_projector(self):
         rng = np.random.default_rng(6)
         b = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(matlib.project_rows(b, np.eye(4)), b, atol=1e-12)
+        np.testing.assert_allclose(project_rows(b, np.eye(4)), b, atol=1e-12)
 
     def test_projection_onto_span(self):
-        out = matlib.project_rows(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))
+        out = project_rows(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -247,7 +257,7 @@ class TestProjectRows:
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, 4, 9, rank=3)
         b = rng.standard_normal((5, 9))
-        resid = b - matlib.project_rows(b, a)
+        resid = b - project_rows(b, a)
         assert np.abs(resid @ matlib.pinv(a) @ a).max() <= 1e-8
 
     @pytest.mark.parametrize("seed", range(3))
@@ -255,13 +265,9 @@ class TestProjectRows:
         rng = np.random.default_rng(10 + seed)
         a = random_matrix(rng, 4, 6, rank=2)
         b = rng.standard_normal((3, 6))
-        once = matlib.project_rows(b, a)
-        twice = matlib.project_rows(once, a)
+        once = project_rows(b, a)
+        twice = project_rows(once, a)
         np.testing.assert_allclose(twice, once, atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matlib.project_rows(np.ones((2, 3)), np.ones((2, 4)))
 
 
 class TestBlasThreads:

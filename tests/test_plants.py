@@ -139,6 +139,11 @@ class TestCollectTrajectory:
         y_clean, _ = plants.rollout(small_plant, np.zeros(2), traj.u_d)
         np.testing.assert_array_equal(traj.y_d, y_clean)
 
+    @pytest.mark.parametrize("variance", [-0.01, np.nan, np.inf])
+    def test_bad_noise_variance_rejected(self, variance):
+        with pytest.raises(ValueError, match="variance must be finite and nonnegative"):
+            plants.NoiseSpec(variance, 0)
+
     def test_seed_determinism(self, small_plant):
         spec = plants.NoiseSpec(0.01, 42)
         t1 = plants.collect_trajectory(small_plant, 50, ([-1.0], [1.0]), spec)

@@ -139,6 +139,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             qp.QuadProgram(p_mat=[[np.nan]], q_vec=[0.0])
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"p_mat": np.eye(3)}, "p_mat must be 2x2"),
+        ({"a_eq": [[1.0, 1.0]], "b_eq": [1.0, 2.0]}, "dimensions inconsistent"),
+        ({"a_eq": [[1.0, 2.0, 3.0]], "b_eq": [1.0]}, "dimensions inconsistent"),
+        ({"a_eq": [[1.0, np.inf]], "b_eq": [1.0]}, "equality system contains non-finite"),
+        ({"a_eq": [[1.0, 1.0]], "b_eq": [np.nan]}, "equality system contains non-finite"),
+        ({"lower": [0.0, 0.0, 0.0]}, "bound vectors must have length n"),
+        ({"upper": [1.0]}, "bound vectors must have length n"),
+        ({"lower": [np.nan, 0.0]}, "infinite but not NaN"),
+        ({"upper": [1.0, np.nan]}, "infinite but not NaN"),
+    ])
+    def test_malformed_program_rejected(self, kwargs, match):
+        args = {"p_mat": np.eye(2), "q_vec": [0.0, 0.0], **kwargs}
+        with pytest.raises(ValueError, match=match):
+            qp.QuadProgram(**args)
+
 
 class TestInvariants:
     def test_kkt_certification_matches_reported(self):

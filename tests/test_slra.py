@@ -205,7 +205,7 @@ class TestIterativeSlra:
 
     def test_bad_block_size_rejected_before_the_svd(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(slra, "rowspace_complement", lambda a: calls.append(a))
+        monkeypatch.setattr(slra, "compact_svd", lambda *a, **kw: calls.append(a))
         h_u, h_y, _ = noisy_pair(seed=15)
         for block_size in (0, 5):
             with pytest.raises(ValueError, match="block size"):

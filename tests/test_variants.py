@@ -63,6 +63,27 @@ class TestControlSpec:
         with pytest.raises(ValueError):
             replace(make_spec(), lambda2=-1.0)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("lambda1", np.nan, "regularizer"),
+        ("lambda2", np.inf, "regularizer"),
+        ("lambda_y", np.nan, "regularizer"),
+        ("q_weight", -np.eye(1), "q_weight must be positive semidefinite"),
+        ("q_weight", [[1.0, 2.0], [0.0, 1.0]], "q_weight must be symmetric"),
+        ("q_weight", [[1.0, 2.0], [2.0, 1.0]], "q_weight must be positive semidefinite"),
+        ("q_weight", [[np.nan]], "q_weight must be a finite square"),
+        ("r_weight", 0.0, "r_weight must be positive definite"),
+        ("r_weight", [[1.0, 0.0]], "r_weight must be a finite square"),
+        ("r_weight", [[np.inf]], "r_weight must be a finite square"),
+    ])
+    def test_bad_weights_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            replace(make_spec(), **{field: value})
+
+    def test_semidefinite_q_weight_accepted(self):
+        c = np.array([[1.0, 1.0]])
+        spec = replace(make_spec(p=2), q_weight=c.T @ c)
+        assert spec.p == 2
+
 
 class TestGroundTruth:
     def test_regulation_at_equilibrium(self, small_plant):
