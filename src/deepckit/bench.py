@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown plant '{self.plant}'")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")
+        if self.t_ini < 1 or self.n_horizon < 1:
+            raise ValueError("t_ini and n_horizon must be positive")
         if self.t_ini + self.n_horizon >= self.T:
             raise ValueError("t_ini + n_horizon must be smaller than T")
         if not np.isfinite([
@@ -115,8 +117,8 @@ class ExperimentConfig:
             raise ValueError("u_min must not exceed u_max")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not self.slra_eps > 0.0:
-            raise ValueError("slra_eps must be positive")
+        if not 0.0 < self.slra_eps < np.inf:
+            raise ValueError("slra_eps must be positive and finite")
         if self.slra_order is not None and self.slra_order < 1:
             raise ValueError("slra_order must be at least 1")
         self.variants = tuple(self.variants)
@@ -388,10 +390,10 @@ def cmd_equivalence(cfg: ExperimentConfig) -> tuple[Path, bool]:
 # ---------------------------------------------------------------------------
 
 def _run_trials(cfg: ExperimentConfig, plant, spec, variant_names):
-    """Per-trial realized costs and solve times for each variant plus ground truth."""
+    """Per-trial realized costs and solve times for each variant plus ground
+    truth; a failed solve or a plant that diverged under its inputs costs NaN."""
     costs = {name: [] for name in ("ground-truth", *variant_names)}
     times = {name: [] for name in costs}
-    failures = {name: 0 for name in costs}
     first_traj: dict = {}
     for trial in range(cfg.trials):
         instance = _instance(cfg, plant, trial)
@@ -402,29 +404,29 @@ def _run_trials(cfg: ExperimentConfig, plant, spec, variant_names):
             try:
                 sol = _solve_variant(name, plant, instance, spec, cfg, caches, **_MC_SOLVE_OPTS)
             except va.VariantError:
-                failures[name] += 1
                 costs[name].append(_FAIL_SENTINEL)
                 times[name].append(time.perf_counter() - t0)
                 continue
             times[name].append(time.perf_counter() - t0)
             try:
                 cost = va.realized_cost(plant, x_true, sol.u, spec)
-            except PlantDiverged:  # the true plant diverged under the planned inputs
-                failures[name] += 1
+            except PlantDiverged:
                 cost = _FAIL_SENTINEL
             costs[name].append(cost)
             if trial == 0 and np.isfinite(cost):
                 # true outputs under the applied inputs, for the trajectory plot
                 u_seq = sol.u.reshape(spec.n_horizon, spec.m)
                 first_traj[name] = rollout(plant, x_true, u_seq)[0]
-    return costs, times, failures, first_traj
+    return costs, times, first_traj
 
 
-def _aggregate(costs, times, failures, trials) -> list[BenchRow]:
+def _aggregate(costs, times, trials) -> list[BenchRow]:
+    """One row per variant; a trial without a finite cost counts as a failure."""
     gt_mean = mean_val([c for c in costs["ground-truth"] if np.isfinite(c)])
     rows = []
     for name in costs:
-        mean = mean_val([c for c in costs[name] if np.isfinite(c)])
+        done = [c for c in costs[name] if np.isfinite(c)]
+        mean = mean_val(done)
         if np.isfinite(mean) and np.isfinite(gt_mean) and gt_mean != 0.0:
             rate = 100.0 * (mean - gt_mean) / gt_mean
         else:
@@ -436,7 +438,7 @@ def _aggregate(costs, times, failures, trials) -> list[BenchRow]:
                 increase_rate_pct=rate,
                 mean_time_s=mean_val(times[name]),
                 trials=trials,
-                failures=failures[name],
+                failures=trials - len(done),
             )
         )
     return rows
@@ -457,8 +459,8 @@ def cmd_benchmark(cfg: ExperimentConfig) -> tuple[Path, list[BenchRow]]:
     spec = _make_spec(cfg, plant)
     out_dir = Path(cfg.out_dir)
     cfg.echo(out_dir)
-    costs, times, failures, first_traj = _run_trials(cfg, plant, spec, cfg.variants)
-    rows = _aggregate(costs, times, failures, cfg.trials)
+    costs, times, first_traj = _run_trials(cfg, plant, spec, cfg.variants)
+    rows = _aggregate(costs, times, cfg.trials)
     path = out_dir / "benchmark.csv"
     _write_csv(
         path, cfg, "benchmark",
@@ -498,8 +500,9 @@ def cmd_sweep(cfg: ExperimentConfig, lambda1_grid, lambda2_grid) -> Path:
     """
     lambda1_grid = [float(v) for v in lambda1_grid]
     lambda2_grid = [float(v) for v in lambda2_grid]
-    if not lambda1_grid or not lambda2_grid:
-        raise ValueError("lambda grids must be nonempty")
+    if not (lambda1_grid and lambda2_grid and all(
+            0.0 <= v < np.inf for v in lambda1_grid + lambda2_grid)):
+        raise ValueError("lambda grids must be nonempty, finite and nonnegative")
     plant = _make_plant(cfg)
     out_dir = Path(cfg.out_dir)
     cfg.echo(out_dir)
@@ -567,10 +570,9 @@ def cmd_nonlinearity(cfg: ExperimentConfig, eps_list) -> Path:
         cfg_eps = replace(base, eps=eps)
         plant = _make_plant(cfg_eps)
         spec = _make_spec(cfg_eps, plant)
-        costs, _times, failures, _ = _run_trials(cfg_eps, plant, spec, cfg_eps.variants)
-        for name in costs:
-            vals = [c for c in costs[name] if np.isfinite(c)]
-            rows.append((eps, name, mean_val(vals), len(vals), failures[name]))
+        costs, times, _ = _run_trials(cfg_eps, plant, spec, cfg_eps.variants)
+        for r in _aggregate(costs, times, cfg_eps.trials):
+            rows.append((eps, r.variant, r.mean_cost, r.trials - r.failures, r.failures))
     path = out_dir / "nonlinearity.csv"
     _write_csv(
         path, base, "nonlinearity",

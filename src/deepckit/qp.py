@@ -19,26 +19,10 @@ The Newton step is solved over the folded variables: each l1 pair (see
 below) folds back into one variable, and P and A are only ever held over the
 folded variables.  The residuals, the dual start and the certificate apply the
 lifted matrices as E P_f E' and A_f E' (E'x takes each pair's positive less
-its negative part), so no lifted matrix is formed.  A step is first taken with
-every separable variable (off the diagonal its row and column of P are zero,
-and it appears in exactly one equality row) eliminated together with that
-row.  For the DeePC template this removes the slacks, the future inputs and
-their rows: at paper scale the iteration LU-factors a 165x165 matrix, where
-the lifted KKT matrix is 506x506.  Every step is refined against the full KKT
-operator, applied as matrix-vector products with the dense block of the other
-variables plus the separable variables' diagonal entries and single
-coefficients, and the eliminated step is kept only when its componentwise
-backward error is at roundoff (1e-14).  Otherwise, and in programs without
-separable variables, the step comes from the folded matrix with nothing
-eliminated (349x349 at paper scale), refined under the same rule, whose
-regularization is raised until it yields a finite step.  A matrix is first
-factored with no regularization when its variable block is positive definite
-(every kept variable carries a barrier or l1 diagonal) and the equality rows
-are independent; at paper scale that holds for the ground-truth program and
-the eliminated steps of the l1-regularized DeePC programs.  Dense factorizations
-keep the solutions accurate enough to certify equivalence results to 1e-5 and
-tighter.  ``QpSolution.events`` counts the steps that fell back to the matrix
-with nothing eliminated and the times its regularization had to be raised.
+its negative part), so no lifted matrix is formed.  :class:`_Kkt` sets out
+how a step is taken and what ``QpSolution.events`` counts of it.  Dense
+factorizations keep the solutions accurate enough to certify equivalence
+results to 1e-5 and tighter.
 
 The l1 terms are handled exactly by splitting each weighted variable into a
 difference of nonnegative parts (z_i = a_i - b_i); at the optimum the split is
@@ -62,6 +46,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -304,8 +289,6 @@ _BUMPS = (1.0, 1e3, 1e6)  # regularization escalation levels, tried in order
 # A Newton step is refined, at most _REFINE_STEPS times and only while that
 # helps, until every row of the full lifted KKT system holds to this
 # componentwise relative backward error, |rhs - K w| <= tau * (|rhs| + |K| |w|).
-# A step with the separable variables eliminated is kept only when it does;
-# otherwise the step is recomputed with nothing eliminated.
 _STEP_BACKWARD_ERROR = 1e-14
 _REFINE_STEPS = 3
 _TINY = np.finfo(float).tiny  # floor of the backward error's denominators
@@ -390,18 +373,36 @@ class _Structure:
 
 
 class _Kkt:
-    """The Newton system of one iterate, solved with the l1 pairs folded.
+    """The Newton system of one iterate over the folded variables, and its factored forms.
 
     A pair with barrier diagonals D+ and D- folds to one variable with the
-    diagonal D+ D- / (D+ + D-).  Each right-hand side is first solved with the
-    separable variables eliminated (when the iterate allows any; see
-    :class:`_FoldedStep`).  The first such step whose backward error is not at
-    roundoff falls back, for the rest of this iterate, to the folded matrix
-    with nothing eliminated, and is counted in ``events``.  That matrix's
-    regularization is raised through ``_BUMPS`` until a step is finite, and
-    each move to a higher level is counted in ``events``.  A matrix is
-    factored the first time a right-hand side needs it, so every solve
-    against it (predictor, corrector, their refinement steps) shares one LU.
+    diagonal D+ D- / (D+ + D-).  A separable variable s with curvature
+    H_s = P_ss + D_s > 0 and coefficient a_s in row r is eliminated with that
+    row, which adds a_r' a_r / c_r to the kept block, where a_r is the row on
+    the kept variables and c_r = sum of a_s^2 / H_s over the row's eliminated
+    variables.  One with no curvature cannot be, nor can the others in its
+    row.  For the DeePC template this removes the slacks, the future inputs
+    and their rows: at paper scale the reduced form is 165x165, the form with
+    nothing eliminated 349x349 and the lifted KKT matrix 506x506.
+
+    A form (:meth:`_factor`) gets the regularization level ``bump`` on its
+    kept variables (scaled by each one's own curvature, not by the rank-one
+    terms) and on its kept rows, so that a singular block, such as
+    non-unique g, still yields a bounded step.  At the first level the shift
+    is left out when every kept variable has a positive barrier or l1-fold
+    diagonal and the rows are independent: the matrix is then regular and
+    its LU of the exact operator, so the step is mostly at roundoff without
+    refinement.
+
+    The reduced form is factored here, when the iterate allows one; the form
+    with nothing eliminated is factored at a level the first time a step
+    needs that level.  Each form's LU serves every solve against it
+    (predictor, corrector, refinement).  A step is refined by :meth:`_refine`
+    against the full lifted unregularized operator
+    (:meth:`_Structure.product`).  The first reduced step whose backward
+    error is not at roundoff falls back, for the rest of this iterate, to the
+    form with nothing eliminated, whose level is raised through ``_BUMPS``
+    until a step is finite; ``events`` counts each fallback and each raise.
     """
 
     def __init__(self, st: _Structure, diag_term, events):
@@ -410,23 +411,21 @@ class _Kkt:
         self.d_fold = diag_term[: st.n].copy()
         with np.errstate(all="ignore"):  # a non-finite entry voids the factorization
             self.d_fold[st.pos] = self.d_pos * self.d_neg / (self.d_pos + self.d_neg)
-        # a separable variable with no curvature cannot be eliminated, and
-        # neither can the others in its row
         self.sep_curv = st.sep_curv + self.d_fold[st.sep]
         elim = self.sep_curv > 0.0
         if not elim.all():
             elim &= ~np.isin(st.sep_row, st.sep_row[~elim])
-        self._reduced = _FoldedStep(self, elim, _BUMPS[0]) if elim.any() else None
-        self._full = {}  # bump -> the _FoldedStep with nothing eliminated
+        self._reduced = self._factor(elim, _BUMPS[0]) if elim.any() else None
+        self._full = {}  # bump -> the form with nothing eliminated
 
     def solve(self, rhs):
-        """Solve K w = rhs: the step with the separable variables eliminated
-        if it holds, else the first regularization level of the matrix with
-        nothing eliminated that yields a finite step."""
+        """Solve K w = rhs: the step of the reduced form if it holds, else the
+        first regularization level of the form with nothing eliminated that
+        yields a finite step."""
         if not np.isfinite(rhs).all():
             raise np.linalg.LinAlgError("non-finite KKT right-hand side")
         if self._reduced is not None:
-            w, omega = self._reduced.solve(rhs)
+            w, omega = self._refine(self._reduced, rhs)
             if omega <= _STEP_BACKWARD_ERROR:
                 return w
             self._reduced = None
@@ -435,52 +434,28 @@ class _Kkt:
             if level:
                 self._events["regularization_escalations"] += 1
             if bump not in self._full:
-                self._full[bump] = _FoldedStep(self, np.zeros(self.st.sep.size, bool), bump)
-            w, omega = self._full[bump].solve(rhs)
+                self._full[bump] = self._factor(np.zeros(self.st.sep.size, bool), bump)
+            w, omega = self._refine(self._full[bump], rhs)
             if math.isfinite(omega):
                 return w
         raise np.linalg.LinAlgError("KKT system could not be factorized")
 
-
-class _FoldedStep:
-    """The LU-factored Newton matrix of one iterate over the folded variables,
-    with the separable variables selected by the mask ``elim`` eliminated.
-
-    A separable variable s with curvature H_s = P_ss + D_s > 0 and coefficient
-    a_s in row r is eliminated with that row, which adds a_r' a_r / c_r to the
-    kept block, where a_r is the row on the kept variables and c_r = sum of
-    a_s^2 / H_s over the row's eliminated variables.  The remaining matrix
-    gets the regularization level ``bump`` on its kept variables (scaled by
-    each one's own curvature, not by the rank-one terms) and on its kept rows,
-    so that a singular block, such as non-unique g, still yields a bounded
-    step.  At the first level that shift is left out when every kept variable
-    has a positive barrier or l1-fold diagonal and the rows are independent:
-    the variable block is then positive definite and the matrix regular, so
-    the LU is of the exact operator and its step is mostly at roundoff
-    without refinement.  Every step is refined against the full lifted
-    unregularized operator, applied through :meth:`_Structure.product`.
-    """
-
-    def __init__(self, kkt: _Kkt, elim, bump):
-        # the iterate's arrays, not ``kkt`` itself: a reference cycle would
-        # keep every iterate's LU factors alive until the cyclic collector ran
-        st = self.st = kkt.st
-        self.diag, self.d_fold = kkt.diag, kkt.d_fold
-        self.d_pos, self.d_neg = kkt.d_pos, kkt.d_neg
-        self.keep, self.rows, self.keep_rows, p_keep, self.a_elim, a_keep = st.partition(elim)
-        self.sep, self.sep_row = st.sep[elim], st.sep_row[elim]
-        self.sep_coef, self.sep_curv = st.sep_coef[elim], kkt.sep_curv[elim]
-        r, k = self.keep.size, self.keep_rows.size
+    def _factor(self, elim, bump) -> _Factored:
+        """The form with the separable variables selected by the mask ``elim``
+        eliminated, at regularization level ``bump``."""
+        st = self.st
+        keep, rows, keep_rows, p_keep, a_elim, a_keep = st.partition(elim)
+        sep_row, sep_coef, sep_curv = st.sep_row[elim], st.sep_coef[elim], self.sep_curv[elim]
+        r, k = keep.size, keep_rows.size
         m = np.zeros((r + k, r + k))
         m[:r, :r] = p_keep
-        if self.rows.size:
+        inv_c = None
+        if rows.size:
             with np.errstate(all="ignore"):
-                c_row = np.bincount(
-                    self.sep_row, weights=self.sep_coef**2 / self.sep_curv, minlength=st.me
-                )
-                self.inv_c = 1.0 / c_row[self.rows]
-                m[:r, :r] += (self.a_elim.T * self.inv_c) @ self.a_elim
-        d_keep = self.d_fold[self.keep]
+                c_row = np.bincount(sep_row, weights=sep_coef**2 / sep_curv, minlength=st.me)
+                inv_c = 1.0 / c_row[rows]
+                m[:r, :r] += (a_elim.T * inv_c) @ a_elim
+        d_keep = self.d_fold[keep]
         diagonal = m.reshape(-1)[:: r + k + 1]  # a view
         if bump == _BUMPS[0] and st.independent_rows and (d_keep > 0.0).all():
             diagonal[:r] += d_keep  # positive definite block, independent rows
@@ -489,47 +464,37 @@ class _FoldedStep:
             diagonal[r:] = -_SHIFT * bump
         m[:r, r:] = a_keep.T
         m[r:, :r] = a_keep
-        self._lu = self._factor(m)
+        return _Factored(
+            _lu_factors(m), keep, rows, keep_rows, a_elim,
+            st.sep[elim], sep_row, sep_coef, sep_curv, inv_c,
+        )
 
-    @staticmethod
-    def _factor(m):
-        """LU factors of ``m``, or None when it is not finite or not regular."""
-        if not np.isfinite(m).all():
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            try:
-                return scipy.linalg.lu_factor(m, overwrite_a=True, check_finite=False)
-            except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning, ValueError):
-                return None
-
-    def _apply(self, rhs):
-        """One unrefined solve of K w = rhs."""
+    def _apply(self, f: _Factored, rhs):
+        """One unrefined solve of K w = rhs with the form ``f``."""
         st = self.st
-        n, n_lift, r = st.n, st.n_lift, self.keep.size
+        n, n_lift, r = st.n, st.n_lift, f.keep.size
         rx, ry = rhs[:n_lift], rhs[n_lift:]
         rv = rx[:n].copy()
         if st.pos.size:  # each pair's two rows fold into one
             da, db = self.d_pos, self.d_neg
             ra, rb = rx[st.pos], rx[st.neg]
             rv[st.pos] = (db * ra - da * rb) / (da + db)
-        b = np.concatenate([rv[self.keep], ry[self.keep_rows]])
-        if self.rows.size:  # the eliminated variables' rows, in terms of the kept ones
+        b = np.concatenate([rv[f.keep], ry[f.keep_rows]])
+        if f.rows.size:  # the eliminated variables' rows, in terms of the kept ones
             t = np.bincount(
-                self.sep_row, weights=self.sep_coef * rv[self.sep] / self.sep_curv,
-                minlength=st.me,
+                f.sep_row, weights=f.sep_coef * rv[f.sep] / f.sep_curv, minlength=st.me,
             )
-            s_elim = (t[self.rows] - ry[self.rows]) * self.inv_c
-            b[:r] -= self.a_elim.T @ s_elim
+            s_elim = (t[f.rows] - ry[f.rows]) * f.inv_c
+            b[:r] -= f.a_elim.T @ s_elim
         if b.size:  # LAPACK's solve direct: lu_solve's checks cost more than the solve
-            b = scipy.linalg.lapack.dgetrs(*self._lu, b)[0]
+            b = scipy.linalg.lapack.dgetrs(*f.lu, b)[0]
         v = np.empty(n)
-        v[self.keep] = b[:r]
+        v[f.keep] = b[:r]
         dy = np.empty(st.me)
-        dy[self.keep_rows] = b[r:]
-        if self.rows.size:
-            dy[self.rows] = (self.a_elim @ b[:r]) * self.inv_c + s_elim
-            v[self.sep] = (rv[self.sep] - self.sep_coef * dy[self.sep_row]) / self.sep_curv
+        dy[f.keep_rows] = b[r:]
+        if f.rows.size:
+            dy[f.rows] = (f.a_elim @ b[:r]) * f.inv_c + s_elim
+            v[f.sep] = (rv[f.sep] - f.sep_coef * dy[f.sep_row]) / f.sep_curv
         if not st.pos.size:
             return np.concatenate([v, dy])
         coupling = rv[st.pos] - self.d_fold[st.pos] * v[st.pos]
@@ -547,23 +512,44 @@ class _FoldedStep:
         scale = np.abs(rhs) + st.product(diag, aw[:n], aw[n:], absolute=True)
         return res, float((np.abs(res) / np.maximum(scale, _TINY)).max())
 
-    def solve(self, rhs):
-        """The refined step and its backward error; (None, inf) when the
-        factorization failed, and a non-finite error when the step is not finite."""
-        if self._lu is None:
+    def _refine(self, f: _Factored, rhs):
+        """The refined step of the form ``f`` and its backward error; (None, inf)
+        when its factorization failed, and a non-finite error when the step is
+        not finite."""
+        if f.lu is None:
             return None, math.inf
         with np.errstate(all="ignore"):  # a non-finite step gets a non-finite error
-            w = self._apply(rhs)
+            w = self._apply(f, rhs)
             res, omega = self._residual(rhs, w)
             for _ in range(_REFINE_STEPS):
                 if omega <= _STEP_BACKWARD_ERROR:
                     break
-                w_try = w + self._apply(res)
+                w_try = w + self._apply(f, res)
                 res_try, omega_try = self._residual(rhs, w_try)
                 if not omega_try < omega:
                     break
                 w, res, omega = w_try, res_try, omega_try
         return w, omega
+
+
+# A form of a Newton matrix (see _Kkt._factor): its LU factors (None when the
+# matrix is not finite or not regular), its _Structure.partition, and the
+# eliminated variables with their rows, coefficients and curvatures, and
+# inv_c = 1 / c_r per eliminated row.
+_Factored = namedtuple("_Factored",
+                       "lu keep rows keep_rows a_elim sep sep_row sep_coef sep_curv inv_c")
+
+
+def _lu_factors(m):
+    """LU factors of ``m``, or None when it is not finite or not regular."""
+    if not np.isfinite(m).all():
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+        try:
+            return scipy.linalg.lu_factor(m, overwrite_a=True, check_finite=False)
+        except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning, ValueError):
+            return None
 
 
 def _safe_div(num, den):
@@ -819,8 +805,10 @@ def solve(
         inconsistent (least-squares residual test), MAX_ITERATIONS when the
         iteration cap is reached without meeting the acceptance threshold.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter >= 1")
+    if not 0.0 < tol < math.inf or max_iter < 1:
+        raise ValueError("tol must be positive and finite and max_iter >= 1")
+    if accept_tol is not None and not 0.0 < accept_tol < math.inf:
+        raise ValueError("accept_tol must be positive and finite")
 
     P, q, A, b, lo, hi, idx_l1 = _lift_program(prob)
     P, q, A, b, lo, hi, d_scale, _r_scale = _equilibrate(P, q, A, b, lo, hi, idx_l1)

@@ -44,7 +44,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .hankel import _block_hankel, hankel_project
+from .hankel import _anti_diagonals, _block_hankel, hankel_project
 from .matlib import DEFAULT_RANK_TOL, _as_matrix, compact_svd
 
 __all__ = ["SlraReport", "range_truncate", "iterative_slra"]
@@ -182,20 +182,16 @@ class _Anderson:
     samples per time step) of a block-Hankel matrix.
     The least squares weight every sample equally.  The safeguard measures a
     residual ``F(x) - x`` by the Frobenius norm of its Hankel matrix, where
-    a sample counts once per entry of its anti-diagonal.
+    a sample counts once per entry of the matrix that holds it.
     """
 
     def __init__(self, memory: int, shape: tuple[int, int], block_size: int):
         rows, n_cols = shape
-        depth = rows // block_size
-        n_diag = depth + n_cols - 1
-        k = np.arange(n_diag)
-        lengths = np.minimum(np.minimum(k + 1, n_diag - k), min(depth, n_cols))
-        self._weights = np.repeat(lengths.astype(float), block_size)
-        self._depth = depth
+        self._weights = _anti_diagonals(rows, n_cols, block_size)[1]
+        self._depth = rows // block_size
         self._p = block_size
         # ring buffers of the residual and map-value differences, one column each
-        self._dg = np.empty((n_diag * block_size, memory), order="F")
+        self._dg = np.empty((self._weights.size, memory), order="F")
         self._df = np.empty_like(self._dg)
         self._filled = 0
         self._slot = 0
@@ -286,8 +282,8 @@ def iterative_slra(
     h_u = _as_matrix(h_u, "h_u")
     if h_u.shape[1] != h_y.shape[1]:
         raise ValueError("h_u and h_y must have equal column counts")
-    if eps <= 0.0 or max_iter < 1:
-        raise ValueError("eps must be positive and max_iter >= 1")
+    if not 0.0 < eps < np.inf or max_iter < 1:
+        raise ValueError("eps must be positive and finite and max_iter >= 1")
     if memory < 0:
         raise ValueError("memory must be nonnegative")
     if block_size < 1 or h_y.shape[0] % block_size:

@@ -86,10 +86,11 @@ class ControlSpec:
     """Horizons, stage weights, regularizer strengths, constraint boxes, reference.
 
     ``q_weight`` (p x p, PSD) and ``r_weight`` (m x m, PD) are per-stage costs;
-    ``u_box``/``y_box`` are per-channel (lo, hi) pairs, ``y_box=None`` meaning
-    unconstrained outputs; ``y_ref`` is the stacked (p*n_horizon) reference and
-    defaults to regulation at zero.  Specs are immutable: derive variations
-    with :func:`dataclasses.replace`, which validates them again.
+    ``u_box``/``y_box`` are per-channel (lo, hi) pairs, each side None or of
+    length m/p, ``y_box=None`` meaning unconstrained outputs; ``y_ref`` is the
+    stacked (p*n_horizon) reference and defaults to regulation at zero.
+    Specs are immutable: derive variations with :func:`dataclasses.replace`,
+    which validates them again.
     """
 
     t_ini: int
@@ -110,6 +111,9 @@ class ControlSpec:
             weight = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
             _check_weight(name, weight, definite)
             object.__setattr__(self, name, weight)
+        for name, size in (("u_box", self.m), ("y_box", self.p)):
+            if any(np.size(s) != size for s in getattr(self, name) or () if s is not None):
+                raise ValueError(f"each side of {name} must have length {size}, one per channel")
         if not all(0.0 <= lam < np.inf for lam in (self.lambda1, self.lambda2, self.lambda_y)):
             raise ValueError("regularizer weights must be finite and nonnegative")
         if self.y_ref is not None:
@@ -220,21 +224,11 @@ def stack_past_inputs(lib: HankelPartition) -> np.ndarray:
 
 def _past_projector(lib: HankelPartition) -> np.ndarray:
     """Pi1, the projector onto the row space of H1 = col(U_P, Y_P, U_F), computed
-    at most once per library and kept in its cache.
-
-    The blocks of a library reduced by :func:`preprocess_svd` are those of its
-    source times V, the source's right singular vectors, and every row of the
-    source lies in range(V); so its Pi1 is V' Pi1 V, from the source's Pi1,
-    with no SVD of its own.
-    """
-    cache = lib._cache
-    if "pi1" not in cache:
-        if "reduced_from" in cache:
-            source, v = cache.pop("reduced_from")
-            cache["pi1"] = v.T @ _past_projector(source) @ v
-        else:
-            cache["pi1"] = rowspace_projector(stack_past_inputs(lib))
-    return cache["pi1"]
+    at most once per library and kept in its cache (:func:`preprocess_svd`
+    fills a reduced library's)."""
+    if "pi1" not in lib._cache:
+        lib._cache["pi1"] = rowspace_projector(stack_past_inputs(lib))
+    return lib._cache["pi1"]
 
 
 def _check_inputs(variant: Variant, lib, online: OnlineData, spec: ControlSpec) -> None:
@@ -420,12 +414,14 @@ def preprocess_svd(lib: HankelPartition) -> HankelPartition:
     """Reduce the library's column dimension by keeping W * Sigma from its SVD.
 
     The returned blocks span the same column space as the raw library but have
-    only ``numeric_rank`` columns.  Its Pi1 is derived from the source
-    library's when a controller first needs it (see :func:`_past_projector`).
+    only ``numeric_rank`` columns.  They are the source's blocks times V, its
+    right singular vectors, and every row of the source lies in range(V); so
+    the reduced library's Pi1 is V' Pi1 V, from the source's cached Pi1, with
+    no SVD of its own.
     """
     dec = compact_svd(stack_library(lib))
     reduced = _library(lib, "svd", dec.w * dec.sigma)
-    reduced._cache["reduced_from"] = (lib, dec.v)
+    reduced._cache["pi1"] = dec.v.T @ _past_projector(lib) @ dec.v
     return reduced
 
 

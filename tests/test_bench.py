@@ -12,9 +12,15 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from deepckit import bench
+from deepckit import bench, qp
 from deepckit import variants as va
-from deepckit.plants import NonlinearPlant, lv_step, seeded_generator, standard_normal
+from deepckit.plants import (
+    NonlinearPlant,
+    PlantDiverged,
+    lv_step,
+    seeded_generator,
+    standard_normal,
+)
 
 
 def fast_config(tmp_path, **overrides):
@@ -78,6 +84,25 @@ class TestConfig:
         config.write_text(json.dumps(values))  # json writes NaN and Infinity
         with pytest.raises(ValueError, match="must be"):
             bench.main(["benchmark", "--config", str(config), "--trials", "1"])
+        assert not (tmp_path / "out" / "config.json").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_ini", 0), ("n_horizon", 0), ("slra_eps", float("inf")),
+    ])
+    def test_bad_window_rejected_before_sweep_writes_config_json(self, tmp_path, field, value):
+        # these used to be caught only after config.json was written
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({**asdict(fast_config(tmp_path)), field: value}))
+        with pytest.raises(ValueError, match="must be positive"):
+            bench.main(["sweep", "--config", str(config)])
+        assert not (tmp_path / "out" / "config.json").exists()
+
+    @pytest.mark.parametrize("grid", ["-1", "nan", "inf", "1e-2,inf"])
+    def test_bad_sweep_grid_rejected_before_config_json(self, tmp_path, grid):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(asdict(fast_config(tmp_path))))
+        with pytest.raises(ValueError, match="lambda grids must be nonempty, finite"):
+            bench.main(["sweep", "--config", str(config), f"--lambda1-grid={grid}"])
         assert not (tmp_path / "out" / "config.json").exists()
 
     def test_echo_and_hash(self, tmp_path):
@@ -285,6 +310,58 @@ class TestTypedFailures:
                 bench.cmd_benchmark(cfg)
             else:
                 bench.cmd_sweep(cfg, [1.0], [1.0])
+
+
+class TestFailureAccounting:
+    """A trial counts as a failure when it ends without a finite cost."""
+
+    @staticmethod
+    def force(monkeypatch, failing_solve, diverging_rollout, nan_rollout=None):
+        """Make call ``failing_solve`` (from 1) of solve_hybrid raise VariantError,
+        call ``diverging_rollout`` of realized_cost raise PlantDiverged, and call
+        ``nan_rollout`` of it return NaN."""
+        calls = {"solve": 0, "cost": 0}
+        solve, cost = va.solve_hybrid, va.realized_cost
+
+        def solve_hybrid(*args, **kwargs):
+            calls["solve"] += 1
+            sol = solve(*args, **kwargs)
+            if calls["solve"] == failing_solve:
+                failed = replace(sol.solver, status=qp.QpStatus.MAX_ITERATIONS)
+                raise va.VariantError("hybrid", failed)
+            return sol
+
+        def realized_cost(*args, **kwargs):
+            calls["cost"] += 1
+            if calls["cost"] == diverging_rollout:
+                raise PlantDiverged("forced")
+            return float("nan") if calls["cost"] == nan_rollout else cost(*args, **kwargs)
+
+        monkeypatch.setattr(va, "solve_hybrid", solve_hybrid)
+        monkeypatch.setattr(va, "realized_cost", realized_cost)
+
+    def test_benchmark_failures_column(self, tmp_path, small_plant, monkeypatch):
+        monkeypatch.setattr(bench, "_make_plant", lambda cfg: small_plant)
+        # rollouts in order: trial 0 gt, hybrid, svd; trial 1 gt, svd (hybrid
+        # failed); trial 2 gt, hybrid, svd
+        self.force(monkeypatch, failing_solve=2, diverging_rollout=3, nan_rollout=8)
+        path, rows = bench.cmd_benchmark(fast_config(tmp_path, trials=3))
+        lines = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        assert {r[0]: (r[3], r[4]) for r in lines} == {
+            "ground-truth": ("3", "0"), "hybrid": ("3", "1"), "svd": ("3", "2"),
+        }
+        assert [(r.trials, r.failures) for r in rows] == [(3, 0), (3, 1), (3, 2)]
+
+    def test_nonlinearity_completed_plus_failures(self, tmp_path, monkeypatch):
+        # rollouts in order: trial 0 gt (hybrid failed); trial 1 gt, hybrid
+        self.force(monkeypatch, failing_solve=1, diverging_rollout=2)
+        cfg = bench.ExperimentConfig(trials=2, seed=99, out_dir=str(tmp_path / "nl"),
+                                     variants=("hybrid",))
+        path = bench.cmd_nonlinearity(cfg, [1.0])
+        lines = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        assert {r[1]: (int(r[3]), int(r[4])) for r in lines} == {
+            "ground-truth": (1, 1), "hybrid": (1, 1),
+        }
 
 
 class TestEquivalenceCommand:

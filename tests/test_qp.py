@@ -155,6 +155,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             qp.QuadProgram(**args)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": np.inf}, {"tol": np.nan}, {"accept_tol": np.inf}, {"accept_tol": np.nan},
+        {"accept_tol": 0.0},
+    ])
+    def test_non_finite_tolerance_rejected(self, kwargs):
+        # tol=inf used to return the start point [0, 0] as OPTIMAL after no
+        # iteration, tol=nan to end MAX_ITERATIONS at the optimum, and
+        # accept_tol=inf to accept any iterate
+        prob = qp.QuadProgram(p_mat=np.eye(2), q_vec=[1.0, 1.0], lower=[-2.0, -2.0],
+                              upper=[2.0, 2.0])
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            qp.solve(prob, **kwargs)
+        np.testing.assert_allclose(qp.solve(prob).z, [-1.0, -1.0], atol=1e-8)
+
 
 class TestInvariants:
     def test_kkt_certification_matches_reported(self):

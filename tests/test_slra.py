@@ -198,6 +198,14 @@ class TestIterativeSlra:
         with pytest.raises(ValueError, match="n_order"):
             slra.iterative_slra(h_y, h_u, -1, block_size=3)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0])
+    def test_non_finite_eps_rejected(self, eps):
+        # eps=nan used to run to max_iter unconverged, and eps=inf to
+        # "converge" after one pass
+        h_u, h_y, _ = noisy_pair(seed=15)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            slra.iterative_slra(h_y, h_u, 8, eps=eps, block_size=3)
+
     def test_negative_memory_rejected(self):
         h_u, h_y, _ = noisy_pair(seed=15)
         with pytest.raises(ValueError, match="memory"):

@@ -79,6 +79,21 @@ class TestControlSpec:
         with pytest.raises(ValueError, match=match):
             replace(make_spec(), **{field: value})
 
+    @pytest.mark.parametrize("field, box", [
+        ("u_box", (np.array([-1.0, -0.1]), np.array([1.0, 0.1]))),
+        ("u_box", (None, np.array([1.0, 0.1]))),
+        ("y_box", (np.array([-1.0, -2.0]), np.array([1.0, 2.0]))),
+    ])
+    def test_box_side_of_wrong_length_rejected(self, small_plant, field, box):
+        # a side whose length divided the horizon used to tile over it: a
+        # length-2 u_box on this 1-input plant alternated per step, and the
+        # length-2 y_box ended MAX_ITERATIONS
+        spec = make_spec(n_horizon=4)
+        with pytest.raises(ValueError, match=f"each side of {field} must have length 1"):
+            va.solve_ground_truth(small_plant, [1.0, -1.0], replace(spec, **{field: box}))
+        one_sided = replace(spec, **{field: (None, np.ones(1))})
+        assert va.solve_ground_truth(small_plant, [1.0, -1.0], one_sided).u.size == 4
+
     def test_semidefinite_q_weight_accepted(self):
         c = np.array([[1.0, 1.0]])
         spec = replace(make_spec(p=2), q_weight=c.T @ c)
@@ -749,17 +764,17 @@ class TestStructuredNewtonStep:
         # factored unshifted: its first solve is nearly always at roundoff
         cfg, plant, spec, instance = paper_trial
         counts = {"apply": 0, "solve": 0}
-        apply, solve = qp._FoldedStep._apply, qp._Kkt.solve
+        apply, solve = qp._Kkt._apply, qp._Kkt.solve
 
-        def counting_apply(self, rhs):
+        def counting_apply(self, form, rhs):
             counts["apply"] += 1
-            return apply(self, rhs)
+            return apply(self, form, rhs)
 
         def counting_solve(self, rhs):
             counts["solve"] += 1
             return solve(self, rhs)
 
-        monkeypatch.setattr(qp._FoldedStep, "_apply", counting_apply)
+        monkeypatch.setattr(qp._Kkt, "_apply", counting_apply)
         monkeypatch.setattr(qp._Kkt, "solve", counting_solve)
         sol = bench._solve_variant(
             "ground-truth", plant, instance, spec, cfg, {}, tol=1e-9, max_iter=150,
