@@ -22,9 +22,10 @@ import argparse
 import hashlib
 import itertools
 import json
+import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,15 @@ _FAIL_SENTINEL = float("nan")
 _MC_SOLVE_OPTS = {"tol": 1e-9, "max_iter": 150, "accept_tol": 1e-6}
 # XML text escapes for emit_svg (xml.sax.saxutils would import urllib.request)
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+# the numeric fields of ExperimentConfig and the type each must have; json
+# reads 4.0 as a float and true as a bool, which Python counts as the integer 1
+_NUMERIC_FIELDS = {
+    **dict.fromkeys(("T", "t_ini", "n_horizon", "trials", "seed", "slra_order"), numbers.Integral),
+    **dict.fromkeys((
+        "eps", "noise_var", "lambda1", "lambda2", "lambda_y", "q_scale", "r_scale", "u_min",
+        "u_max", "slra_eps", "x0_scale", "excitation_scale",
+    ), numbers.Real),
+}
 
 
 @dataclass
@@ -96,6 +106,19 @@ class ExperimentConfig:
     excitation_scale: float = 1.0
 
     def __post_init__(self):
+        for name, kind in _NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name == "slra_order":
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a real number"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            if kind is numbers.Integral:
+                setattr(self, name, int(value))  # numpy integers echo as JSON numbers
+        if not isinstance(self.variants, (list, tuple)):
+            raise ValueError(f"variants must be a list of variant names, got {self.variants!r}")
+        if not isinstance(self.out_dir, str):  # json cannot echo a Path
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.plant not in ("triple-mass-spring", "lotka-volterra"):
             raise ValueError(f"unknown plant '{self.plant}'")
         if not 0.0 <= self.eps <= 1.0:
@@ -715,7 +738,13 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
-            values.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("a config file must be a JSON object")
+        unknown = sorted(set(loaded) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        values.update(loaded)
     for key in (
         "seed", "trials", "out_dir", "lambda1", "lambda2", "lambda_y",
         "noise_var", "plant",

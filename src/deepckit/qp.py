@@ -44,6 +44,7 @@ divided by 1 + |objective|.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from collections import namedtuple
@@ -164,8 +165,8 @@ class QpSolution:
     ``events`` counts, over the whole solve, the Newton steps whose form with
     the separable variables eliminated was not at roundoff and fell back to
     the folded matrix with nothing eliminated (``reduced_step_fallbacks``),
-    and the moves of that matrix's regularization to a higher level
-    (``regularization_escalations``).
+    and the refactors, at most one per iterate, of that matrix with a shift
+    after it gave no finite step unshifted (``regularization_escalations``).
     """
 
     z: np.ndarray
@@ -245,30 +246,30 @@ def _unfold(v, pos, sign=-1.0):
     return np.concatenate([v, sign * v[pos]]) if pos.size else v
 
 
-def _measure(st, q, b, bounds, x, y, z):
+def _measure(st, q, b, x, y, z):
     """Scaled primal/dual/complementarity residuals at an iterate.
 
     Also returns the vectors they are built from, which the Newton step
     reuses: the gradient P x + q + A'y, the dual residual (that gradient less
     the bound duals), the equality residual A x - b and the bound slacks.
     P x = E P_f E'x, A'y = E A_f'y and A x = A_f E'x are applied through the
-    folded matrices of the :class:`_Structure` ``st``.
+    folded matrices of the :class:`_Structure` ``st``, which holds the bounds.
     """
     v = _fold(x, st.pos)
     px = _unfold(st.p_fold @ v, st.pos)
     aty = _unfold(st.a_fold.T @ y, st.pos)
     grad = px + q + aty
     rd = grad.copy()
-    bounds.add(rd, -(bounds.sign * z))
+    st.bounds.add(rd, -(st.bounds.sign * z))
     sd = 1.0 + np.abs(q) + np.abs(px) + np.abs(aty)
-    bounds.add(sd, z)
+    st.bounds.add(sd, z)
     dual = float(np.max(np.abs(rd) / sd)) if rd.size else 0.0
     ax = st.a_fold @ v
     rp = ax - b
     primal = float(np.max(np.abs(rp) / (1.0 + np.abs(b) + np.abs(ax)))) if rp.size else 0.0
-    slack = bounds.slack(x)
+    slack = st.bounds.slack(x)
     # box violation (zero while the iterate stays interior)
-    viol = float(np.max(-slack / bounds.scale)) if slack.size else 0.0
+    viol = float(np.max(-slack / st.bounds.scale)) if slack.size else 0.0
     primal = max(primal, viol, 0.0)
     obj = 0.5 * x @ px + q @ x
     gap = abs(float(slack @ z)) / (1.0 + abs(obj))
@@ -280,11 +281,9 @@ def _merit(residuals):
     return max(residuals) if all(map(math.isfinite, residuals)) else math.inf
 
 
-# Static KKT regularization: folded variable i's diagonal gets
-# +_SHIFT * (1 + |P_ii| + D_i) and each equality row's -_SHIFT, times the
-# escalation level in _BUMPS.
+# Static KKT regularization of a form that is not regular: folded variable
+# i's diagonal gets +_SHIFT * (1 + |P_ii| + D_i) and each equality row's -_SHIFT.
 _SHIFT = 1e-12
-_BUMPS = (1.0, 1e3, 1e6)  # regularization escalation levels, tried in order
 
 # A Newton step is refined, at most _REFINE_STEPS times and only while that
 # helps, until every row of the full lifted KKT system holds to this
@@ -294,22 +293,38 @@ _REFINE_STEPS = 3
 _TINY = np.finfo(float).tiny  # floor of the backward error's denominators
 
 
+# A form of the Newton matrix (see _Structure): the variables kept and the
+# blocks of P_f and A_f on them, the eliminated variables with their rows,
+# coefficients and P_ss, the 1 + |P_ii| that scale the kept variables' shift,
+# and whether the matrix is regular at every iterate (factored unshifted).
+_Form = namedtuple(
+    "_Form", "keep rows keep_rows p_keep a_elim a_keep sep sep_row sep_coef sep_p curv regular"
+)
+
+
 class _Structure:
-    """One solve's folded P and A, and what its Newton steps can be reduced by.
+    """One solve's folded P and A, its bounds, and the forms of its Newton steps.
 
     * The l1 pairs of :func:`_lift_program`: lifted variable ``n + j`` is the
       negative part of variable ``pos[j]``.  Only the folded P_f and A_f are
       held; the lifted matrices are P = E P_f E' and A = A_f E', applied
       through E'x = :func:`_fold` (x) and E v = :func:`_unfold` (v).
+    * ``bounds``, the lifted bounds.  ``bounded`` marks the folded variables
+      with a finite bound (both parts of an l1 pair are bounded below by 0):
+      their barrier diagonal is positive at every iterate.
     * Separable variables: folded variables whose row and column of P_f are
-      zero off the diagonal and that appear in exactly one equality row.  Each
-      can be eliminated together with its row.
-    * ``independent_rows``: whether A has linearly independent rows, as the
-      QR start of :class:`_LeastSquares` shows.  Every subset of its rows then
-      keeps that on the variables that remain after an elimination.
+      zero off the diagonal and that appear in exactly one equality row.  One
+      with P_ss > 0 or a bound has P_ss + D_s > 0 at every iterate and is
+      eliminated with its row, unless another in that row is neither.
+    * Two forms: ``reduced``, with those variables eliminated (None when there
+      are none), and ``full``, with nothing eliminated, built when a step
+      first needs it.  A form is ``regular`` when every kept variable is
+      bounded and A has independent rows, as the QR start of
+      :class:`_LeastSquares` shows (any subset of them keeps that on the
+      variables that remain).
     """
 
-    def __init__(self, P, A, idx_l1, independent_rows=False):
+    def __init__(self, P, A, idx_l1, lo, hi, independent_rows=False):
         n = P.shape[0]
         self.n, self.me = n, A.shape[0]
         self.independent_rows = independent_rows
@@ -317,6 +332,8 @@ class _Structure:
         self.neg = n + np.arange(idx_l1.size)
         self.n_lift = n + idx_l1.size
         self.p_fold, self.a_fold = P, A
+        self.bounds = _Bounds(lo, hi)
+        self.bounded = np.isfinite(lo[:n]) | np.isfinite(hi[:n])
         diag = np.diag(P)
         # off the diagonal, a separable variable's row and column of P_f are
         # zero (the scaled P_f need not be bitwise symmetric)
@@ -326,35 +343,41 @@ class _Structure:
         self.sep = np.flatnonzero((off_diagonal == 0) & (np.count_nonzero(A, axis=0) == 1))
         self.sep_row = np.nonzero(A[:, self.sep].T)[1]  # one nonzero each
         self.sep_coef = A[self.sep_row, self.sep]
-        self.sep_curv = diag[self.sep]
+        self.sep_p = diag[self.sep]
         # K w in two parts: the dense block of the other folded variables, and
         # the separable variables' diagonal entries and single coefficients
         self.dense = np.setdiff1d(np.arange(n), self.sep, assume_unique=True)
         p_dense = P[np.ix_(self.dense, self.dense)]
         a_dense = A[:, self.dense]
         self._blocks = {
-            False: (p_dense, a_dense, self.sep_curv, self.sep_coef, -1.0),
-            True: (np.abs(p_dense), np.abs(a_dense), np.abs(self.sep_curv),
+            False: (p_dense, a_dense, self.sep_p, self.sep_coef, -1.0),
+            True: (np.abs(p_dense), np.abs(a_dense), np.abs(self.sep_p),
                    np.abs(self.sep_coef), 1.0),
         }
-        self._partitions = {}
+        elim = (self.sep_p > 0.0) | self.bounded[self.sep]
+        if not elim.all():
+            elim &= ~np.isin(self.sep_row, self.sep_row[~elim])
+        self.reduced = self._form(elim) if elim.any() else None
 
-    def partition(self, elim):
-        """Kept variables, eliminated rows, kept rows and the matrix blocks they
-        index, when the separable variables selected by the mask ``elim`` are
-        eliminated.  Cached: the mask rarely changes between iterates."""
-        key = elim.tobytes()
-        if key not in self._partitions:
-            rows = np.unique(self.sep_row[elim])
-            keep = np.setdiff1d(np.arange(self.n), self.sep[elim], assume_unique=True)
-            keep_rows = np.setdiff1d(np.arange(self.me), rows, assume_unique=True)
-            self._partitions[key] = (
-                keep, rows, keep_rows,
-                self.p_fold[np.ix_(keep, keep)],
-                self.a_fold[np.ix_(rows, keep)],
-                self.a_fold[np.ix_(keep_rows, keep)],
-            )
-        return self._partitions[key]
+    @functools.cached_property
+    def full(self) -> _Form:
+        """The form with nothing eliminated."""
+        return self._form(np.zeros(self.sep.size, bool))
+
+    def _form(self, elim) -> _Form:
+        """The form with the separable variables selected by the mask ``elim``
+        eliminated."""
+        rows = np.unique(self.sep_row[elim])
+        keep = np.setdiff1d(np.arange(self.n), self.sep[elim], assume_unique=True)
+        keep_rows = np.setdiff1d(np.arange(self.me), rows, assume_unique=True)
+        p_keep = self.p_fold[np.ix_(keep, keep)]
+        return _Form(
+            keep, rows, keep_rows, p_keep,
+            self.a_fold[np.ix_(rows, keep)], self.a_fold[np.ix_(keep_rows, keep)],
+            self.sep[elim], self.sep_row[elim], self.sep_coef[elim], self.sep_p[elim],
+            1.0 + np.abs(np.diag(p_keep)),
+            self.independent_rows and bool(self.bounded[keep].all()),
+        )
 
     def product(self, diag_term, dx, dy, absolute=False):
         """K w for the lifted KKT matrix with barrier diagonal ``diag_term``
@@ -376,33 +399,27 @@ class _Kkt:
     """The Newton system of one iterate over the folded variables, and its factored forms.
 
     A pair with barrier diagonals D+ and D- folds to one variable with the
-    diagonal D+ D- / (D+ + D-).  A separable variable s with curvature
-    H_s = P_ss + D_s > 0 and coefficient a_s in row r is eliminated with that
-    row, which adds a_r' a_r / c_r to the kept block, where a_r is the row on
-    the kept variables and c_r = sum of a_s^2 / H_s over the row's eliminated
-    variables.  One with no curvature cannot be, nor can the others in its
-    row.  For the DeePC template this removes the slacks, the future inputs
-    and their rows: at paper scale the reduced form is 165x165, the form with
-    nothing eliminated 349x349 and the lifted KKT matrix 506x506.
+    diagonal D+ D- / (D+ + D-).  An eliminated separable variable s with
+    curvature H_s = P_ss + D_s and coefficient a_s in row r adds
+    a_r' a_r / c_r to the kept block, where a_r is the row on the kept
+    variables and c_r = sum of a_s^2 / H_s over the row's eliminated
+    variables.  For the DeePC template this removes the slacks, the future
+    inputs and their rows: at paper scale the reduced form is 165x165, the
+    form with nothing eliminated 349x349 and the lifted KKT matrix 506x506.
 
-    A form (:meth:`_factor`) gets the regularization level ``bump`` on its
-    kept variables (scaled by each one's own curvature, not by the rank-one
-    terms) and on its kept rows, so that a singular block, such as
-    non-unique g, still yields a bounded step.  At the first level the shift
-    is left out when every kept variable has a positive barrier or l1-fold
-    diagonal and the rows are independent: the matrix is then regular and
-    its LU of the exact operator, so the step is mostly at roundoff without
-    refinement.
-
-    The reduced form is factored here, when the iterate allows one; the form
-    with nothing eliminated is factored at a level the first time a step
-    needs that level.  Each form's LU serves every solve against it
-    (predictor, corrector, refinement).  A step is refined by :meth:`_refine`
-    against the full lifted unregularized operator
-    (:meth:`_Structure.product`).  The first reduced step whose backward
-    error is not at roundoff falls back, for the rest of this iterate, to the
-    form with nothing eliminated, whose level is raised through ``_BUMPS``
-    until a step is finite; ``events`` counts each fallback and each raise.
+    The forms and whether each is shifted are fixed per program by the
+    :class:`_Structure`; this class fills in the iterate's values.  A form
+    that is not ``regular`` gets the shift ``_SHIFT`` on its kept variables
+    (scaled by each one's own curvature, not by the rank-one terms) and rows,
+    so that a singular block, such as non-unique g, still yields a bounded
+    step.  The reduced form is factored here, the full one when a step first
+    needs it, and each LU serves every solve against it (predictor,
+    corrector, refinement).  A step is refined by :meth:`_refine` against the
+    full lifted unregularized operator (:meth:`_Structure.product`).  The
+    first reduced step whose backward error is not at roundoff falls back,
+    for the rest of this iterate, to the full form, whose step is accepted
+    when finite; an unshifted full form without a finite step is refactored
+    once with the shift.  ``events`` counts each fallback and each refactor.
     """
 
     def __init__(self, st: _Structure, diag_term, events):
@@ -411,17 +428,12 @@ class _Kkt:
         self.d_fold = diag_term[: st.n].copy()
         with np.errstate(all="ignore"):  # a non-finite entry voids the factorization
             self.d_fold[st.pos] = self.d_pos * self.d_neg / (self.d_pos + self.d_neg)
-        self.sep_curv = st.sep_curv + self.d_fold[st.sep]
-        elim = self.sep_curv > 0.0
-        if not elim.all():
-            elim &= ~np.isin(st.sep_row, st.sep_row[~elim])
-        self._reduced = self._factor(elim, _BUMPS[0]) if elim.any() else None
-        self._full = {}  # bump -> the form with nothing eliminated
+        self._reduced = None if st.reduced is None else self._factor(st.reduced)
+        self._full = None
 
     def solve(self, rhs):
         """Solve K w = rhs: the step of the reduced form if it holds, else the
-        first regularization level of the form with nothing eliminated that
-        yields a finite step."""
+        finite step of the form with nothing eliminated."""
         if not np.isfinite(rhs).all():
             raise np.linalg.LinAlgError("non-finite KKT right-hand side")
         if self._reduced is not None:
@@ -430,71 +442,67 @@ class _Kkt:
                 return w
             self._reduced = None
             self._events["reduced_step_fallbacks"] += 1
-        for level, bump in enumerate(_BUMPS):
-            if level:
-                self._events["regularization_escalations"] += 1
-            if bump not in self._full:
-                self._full[bump] = self._factor(np.zeros(self.st.sep.size, bool), bump)
-            w, omega = self._refine(self._full[bump], rhs)
-            if math.isfinite(omega):
-                return w
+        if self._full is None:
+            self._full = self._factor(self.st.full)
+        w, omega = self._refine(self._full, rhs)
+        if not math.isfinite(omega) and not self._full.shifted:
+            self._events["regularization_escalations"] += 1
+            self._full = self._factor(self.st.full, shift=True)
+            w, omega = self._refine(self._full, rhs)
+        if math.isfinite(omega):
+            return w
         raise np.linalg.LinAlgError("KKT system could not be factorized")
 
-    def _factor(self, elim, bump) -> _Factored:
-        """The form with the separable variables selected by the mask ``elim``
-        eliminated, at regularization level ``bump``."""
-        st = self.st
-        keep, rows, keep_rows, p_keep, a_elim, a_keep = st.partition(elim)
-        sep_row, sep_coef, sep_curv = st.sep_row[elim], st.sep_coef[elim], self.sep_curv[elim]
-        r, k = keep.size, keep_rows.size
+    def _factor(self, form: _Form, shift=False) -> _Factored:
+        """``form`` at this iterate, factored; shifted when it is not regular
+        or when ``shift`` asks for it."""
+        shifted = shift or not form.regular
+        r, k = form.keep.size, form.keep_rows.size
         m = np.zeros((r + k, r + k))
-        m[:r, :r] = p_keep
+        m[:r, :r] = form.p_keep
+        sep_curv = form.sep_p + self.d_fold[form.sep]
         inv_c = None
-        if rows.size:
+        if form.rows.size:
             with np.errstate(all="ignore"):
-                c_row = np.bincount(sep_row, weights=sep_coef**2 / sep_curv, minlength=st.me)
-                inv_c = 1.0 / c_row[rows]
-                m[:r, :r] += (a_elim.T * inv_c) @ a_elim
-        d_keep = self.d_fold[keep]
+                c_row = np.bincount(form.sep_row, form.sep_coef**2 / sep_curv, minlength=self.st.me)
+                inv_c = 1.0 / c_row[form.rows]
+                m[:r, :r] += (form.a_elim.T * inv_c) @ form.a_elim
+        d_keep = self.d_fold[form.keep]
         diagonal = m.reshape(-1)[:: r + k + 1]  # a view
-        if bump == _BUMPS[0] and st.independent_rows and (d_keep > 0.0).all():
-            diagonal[:r] += d_keep  # positive definite block, independent rows
+        if shifted:
+            diagonal[:r] += d_keep + _SHIFT * (form.curv + d_keep)
+            diagonal[r:] = -_SHIFT
         else:
-            diagonal[:r] += d_keep + _SHIFT * bump * (1.0 + np.abs(np.diag(p_keep)) + d_keep)
-            diagonal[r:] = -_SHIFT * bump
-        m[:r, r:] = a_keep.T
-        m[r:, :r] = a_keep
-        return _Factored(
-            _lu_factors(m), keep, rows, keep_rows, a_elim,
-            st.sep[elim], sep_row, sep_coef, sep_curv, inv_c,
-        )
+            diagonal[:r] += d_keep
+        m[:r, r:] = form.a_keep.T
+        m[r:, :r] = form.a_keep
+        return _Factored(_lu_factors(m), form, sep_curv, inv_c, shifted)
 
     def _apply(self, f: _Factored, rhs):
-        """One unrefined solve of K w = rhs with the form ``f``."""
-        st = self.st
-        n, n_lift, r = st.n, st.n_lift, f.keep.size
+        """One unrefined solve of K w = rhs with the factored form ``f``."""
+        st, form = self.st, f.form
+        n, n_lift, r = st.n, st.n_lift, form.keep.size
         rx, ry = rhs[:n_lift], rhs[n_lift:]
         rv = rx[:n].copy()
         if st.pos.size:  # each pair's two rows fold into one
             da, db = self.d_pos, self.d_neg
             ra, rb = rx[st.pos], rx[st.neg]
             rv[st.pos] = (db * ra - da * rb) / (da + db)
-        b = np.concatenate([rv[f.keep], ry[f.keep_rows]])
-        if f.rows.size:  # the eliminated variables' rows, in terms of the kept ones
-            t = np.bincount(
-                f.sep_row, weights=f.sep_coef * rv[f.sep] / f.sep_curv, minlength=st.me,
-            )
-            s_elim = (t[f.rows] - ry[f.rows]) * f.inv_c
-            b[:r] -= f.a_elim.T @ s_elim
+        b = np.concatenate([rv[form.keep], ry[form.keep_rows]])
+        if form.rows.size:  # the eliminated variables' rows, in terms of the kept ones
+            weights = form.sep_coef * rv[form.sep] / f.sep_curv
+            t = np.bincount(form.sep_row, weights, minlength=st.me)
+            s_elim = (t[form.rows] - ry[form.rows]) * f.inv_c
+            b[:r] -= form.a_elim.T @ s_elim
         if b.size:  # LAPACK's solve direct: lu_solve's checks cost more than the solve
             b = scipy.linalg.lapack.dgetrs(*f.lu, b)[0]
         v = np.empty(n)
-        v[f.keep] = b[:r]
+        v[form.keep] = b[:r]
         dy = np.empty(st.me)
-        dy[f.keep_rows] = b[r:]
-        if f.rows.size:
-            dy[f.rows] = (f.a_elim @ b[:r]) * f.inv_c + s_elim
-            v[f.sep] = (rv[f.sep] - f.sep_coef * dy[f.sep_row]) / f.sep_curv
+        dy[form.keep_rows] = b[r:]
+        if form.rows.size:
+            dy[form.rows] = (form.a_elim @ b[:r]) * f.inv_c + s_elim
+            v[form.sep] = (rv[form.sep] - form.sep_coef * dy[form.sep_row]) / f.sep_curv
         if not st.pos.size:
             return np.concatenate([v, dy])
         coupling = rv[st.pos] - self.d_fold[st.pos] * v[st.pos]
@@ -513,9 +521,9 @@ class _Kkt:
         return res, float((np.abs(res) / np.maximum(scale, _TINY)).max())
 
     def _refine(self, f: _Factored, rhs):
-        """The refined step of the form ``f`` and its backward error; (None, inf)
-        when its factorization failed, and a non-finite error when the step is
-        not finite."""
+        """The refined step of the factored form ``f`` and its backward error;
+        (None, inf) when its factorization failed, and a non-finite error when
+        the step is not finite."""
         if f.lu is None:
             return None, math.inf
         with np.errstate(all="ignore"):  # a non-finite step gets a non-finite error
@@ -532,12 +540,10 @@ class _Kkt:
         return w, omega
 
 
-# A form of a Newton matrix (see _Kkt._factor): its LU factors (None when the
-# matrix is not finite or not regular), its _Structure.partition, and the
-# eliminated variables with their rows, coefficients and curvatures, and
-# inv_c = 1 / c_r per eliminated row.
-_Factored = namedtuple("_Factored",
-                       "lu keep rows keep_rows a_elim sep sep_row sep_coef sep_curv inv_c")
+# A _Form factored at one iterate (see _Kkt._factor): its LU factors (None
+# when the matrix is not finite or not regular), the eliminated variables'
+# P_ss + D_s, inv_c = 1 / c_r per eliminated row, and whether it is shifted.
+_Factored = namedtuple("_Factored", "lu form sep_curv inv_c shifted")
 
 
 def _lu_factors(m):
@@ -569,14 +575,15 @@ def _max_step(v, dv):
     return float((-v[neg] / dv[neg]).min())
 
 
-def _ipm(st, q, b, lo, hi, tol, max_iter, x_start, lsq, accept_tol=None):
+def _ipm(st, q, b, tol, max_iter, x, lsq, accept_tol=None):
     """Mehrotra predictor-corrector for box- and equality-constrained QPs.
 
-    ``st`` is the program's :class:`_Structure`, which holds P and A.  Starts
-    from ``x_start``; ``lsq`` is the equality matrix's :class:`_LeastSquares`
-    (None when there are no equalities).  Iterates toward ``tol``; if progress
-    stalls first (conditioning floor), the best iterate seen is returned and
-    judged against ``accept_tol``.  Returns the iterate with the stacked bound
+    ``st`` is the program's :class:`_Structure`, which holds P, A and the
+    bounds.  Starts from ``x``, a point strictly inside the box; ``lsq`` is
+    the equality matrix's :class:`_LeastSquares` (None when there are no
+    equalities).  Iterates toward ``tol``; if progress stalls first
+    (conditioning floor), the best iterate seen is returned and judged
+    against ``accept_tol``.  Returns the iterate with the stacked bound
     duals, the iteration count, the status, the residuals and the solver's
     event counts.
 
@@ -588,18 +595,17 @@ def _ipm(st, q, b, lo, hi, tol, max_iter, x_start, lsq, accept_tol=None):
     """
     accept_tol = tol if accept_tol is None else max(tol, accept_tol)
     n = q.size
-    bounds = _Bounds(lo, hi)
+    bounds = st.bounds
     nb = max(bounds.size, 1)  # with no bound, mu = mu_aff = 0
     events = _new_events()
 
-    x = _push_interior(x_start, lo, hi)
     # dual start near the least-squares stationary point; bound duals pick up
     # the scale of the gradient so l1-split weights do not derail early steps
     grad = _unfold(st.p_fold @ _fold(x, st.pos), st.pos) + q
     y = np.zeros(0) if lsq is None else lsq.solve_transpose(-grad)
     resid = grad + _unfold(st.a_fold.T @ y, st.pos)
     z = np.maximum(1.0, bounds.sign * resid[bounds.idx])
-    residuals, (grad, rd, rp, slack) = _measure(st, q, b, bounds, x, y, z)
+    residuals, (grad, rd, rp, slack) = _measure(st, q, b, x, y, z)
 
     best = None  # (merit, x, y, z, residuals); iterates are never updated in place
     stalled = 0
@@ -651,7 +657,7 @@ def _ipm(st, q, b, lo, hi, tol, max_iter, x_start, lsq, accept_tol=None):
         x = x + alpha_p * w[:n]
         y = y + alpha_d * w[n:]
         z = np.maximum(z + alpha_d * dz, 1e-300)
-        residuals, (grad, rd, rp, slack) = _measure(st, q, b, bounds, x, y, z)
+        residuals, (grad, rd, rp, slack) = _measure(st, q, b, x, y, z)
 
     merit, x, y, z, residuals = best
     status = QpStatus.OPTIMAL if merit <= accept_tol else QpStatus.MAX_ITERATIONS
@@ -831,19 +837,15 @@ def solve(
                 iterations=0,
                 status=QpStatus.INFEASIBLE,
             )
-    st = _Structure(P, A, idx_l1, independent_rows=lsq is None or lsq.independent)
+    st = _Structure(P, A, idx_l1, lo, hi, independent_rows=lsq is None or lsq.independent)
     x, y, zb, iters, status, (primal, dual, gap), events = _ipm(
-        st, q, b, lo, hi, tol, max_iter, x_start, lsq, accept_tol
+        st, q, b, tol, max_iter, _push_interior(x_start, lo, hi), lsq, accept_tol
     )
 
     z = _fold(d_scale * x, idx_l1)
     if status is QpStatus.OPTIMAL and not np.isfinite(z).all():
         status = QpStatus.MAX_ITERATIONS
-    n_lower = np.count_nonzero(np.isfinite(lo))
-    cert = {
-        "x": x, "y": y, "zl": zb[:n_lower], "zu": zb[n_lower:],
-        "st": st, "q": q, "b": b, "lo": lo, "hi": hi, "d_scale": d_scale,
-    }
+    cert = {"x": x, "y": y, "z": zb, "st": st, "q": q, "b": b, "d_scale": d_scale}
     return QpSolution(
         z=z,
         objective=prob.objective(z),
@@ -862,10 +864,7 @@ def kkt_residuals(sol: QpSolution) -> tuple[float, float, float]:
     c = sol._cert
     if c is None:
         raise ValueError("solution carries no certificate")
-    return _measure(
-        c["st"], c["q"], c["b"], _Bounds(c["lo"], c["hi"]),
-        c["x"], c["y"], np.concatenate([c["zl"], c["zu"]]),
-    )[0]
+    return _measure(c["st"], c["q"], c["b"], c["x"], c["y"], c["z"])[0]
 
 
 def split_parts(sol: QpSolution) -> tuple[np.ndarray, np.ndarray]:

@@ -77,6 +77,10 @@ class TestConfig:
             "q_scale", "r_scale", "x0_scale", "excitation_scale",
         ) for bad in (float("nan"), float("inf"))),
         ("q_scale", -1.0), ("r_scale", 0.0), ("r_scale", -0.1), ("excitation_scale", -1.0),
+        # each of these wrote config.json and then raised TypeError, or ran
+        # something else ("hybrid" was iterated by character)
+        ("t_ini", 4.0), ("T", 200.0), ("seed", 1.5), ("slra_order", 2.5), ("n_horizon", "8"),
+        ("variants", "hybrid"), ("eps", "0.5"), ("lambda1", True), ("out_dir", 5),
     ])
     def test_bad_value_rejected_before_config_json(self, tmp_path, field, value):
         values = {**asdict(fast_config(tmp_path)), field: value}
@@ -84,6 +88,32 @@ class TestConfig:
         config.write_text(json.dumps(values))  # json writes NaN and Infinity
         with pytest.raises(ValueError, match="must be"):
             bench.main(["benchmark", "--config", str(config), "--trials", "1"])
+        assert not (tmp_path / "out" / "config.json").exists()
+
+    def test_integer_fields(self, tmp_path):
+        # json reads true as True, which is 1 to Python: it ran one trial and
+        # echoed true
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({**asdict(fast_config(tmp_path)), "trials": True}))
+        with pytest.raises(ValueError, match="trials must be an integer, got True"):
+            bench.main(["benchmark", "--config", str(config)])
+        assert not (tmp_path / "out" / "config.json").exists()
+        # numpy integers are integers, and are echoed as JSON numbers
+        cfg = fast_config(tmp_path, trials=np.int64(3), slra_order=np.int32(4))
+        assert (type(cfg.trials), cfg.trials, type(cfg.slra_order)) == (int, 3, int)
+        cfg.echo(tmp_path / "echo")
+        assert json.loads((tmp_path / "echo" / "config.json").read_text())["trials"] == 3
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"T": 60, "horizon": 8, "seeds": 1}', "unknown config keys: horizon, seeds"),
+        ("[60, 8]", "a config file must be a JSON object"),
+    ])
+    def test_bad_config_file_rejected_before_config_json(self, tmp_path, content, message):
+        # these raised TypeError from the dataclass or from dict.update
+        config = tmp_path / "bad.json"
+        config.write_text(content)
+        with pytest.raises(ValueError, match=message):
+            bench.main(["benchmark", "--config", str(config), "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out" / "config.json").exists()
 
     @pytest.mark.parametrize("field, value", [

@@ -360,7 +360,7 @@ class TestReducedStep:
         for _ in range(10):
             P, q, A, b, lo, hi, idx_l1 = qp._lift_program(deepc_shaped_program(rng, **kwargs))
             P, q, A, b, lo, hi, _d, _r = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)
-            structure = qp._Structure(P, A, idx_l1)
+            structure = qp._Structure(P, A, idx_l1, lo, hi)
             assert structure.pos.size or structure.sep.size
             # barrier diagonals on the bounded variables, log-uniform up to d_max
             bounded = np.isfinite(lo).astype(float) + np.isfinite(hi)
@@ -476,7 +476,7 @@ class TestStructureProduct:
                        dict(l1=False)):
             P, q, A, b, lo, hi, idx_l1 = qp._lift_program(deepc_shaped_program(rng, **kwargs))
             P, q, A, b, lo, hi, _d, _r = qp._equilibrate(P, q, A, b, lo, hi, idx_l1)
-            st = qp._Structure(P, A, idx_l1)
+            st = qp._Structure(P, A, idx_l1, lo, hi)
             diag = np.isfinite(lo) * rng.uniform(0.0, 1e4, q.size)
             k0 = dense_lifted_kkt(P, diag, A, idx_l1)
             dx, dy = rng.standard_normal(q.size), rng.standard_normal(b.size)
@@ -491,7 +491,7 @@ class TestStructureProduct:
         # need not be bitwise symmetric): variable 1 must stay in the dense part
         P = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
         A = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
-        st = qp._Structure(P, A, np.zeros(0, dtype=int))
+        st = qp._Structure(P, A, np.zeros(0, dtype=int), np.full(3, -np.inf), np.full(3, np.inf))
         assert st.sep.tolist() == [2]
         rng = np.random.default_rng(9)
         diag = rng.uniform(0.0, 1.0, 3)
@@ -512,14 +512,33 @@ class TestEvents:
         assert sol.events == {"reduced_step_fallbacks": 1, "regularization_escalations": 0}
         assert sorted(lu_sizes) == [14] * sol.iterations + [28]
 
-    def test_regularization_escalations_counted(self):
-        # P = 0 with a free variable: the KKT matrix is singular, and with a
-        # linear term this large the regularized solve overflows at the first
-        # level, so solves escalate until the stall rule ends the loop
+    def test_shifted_matrix_without_a_finite_step_ends_the_loop(self):
+        # P = 0 with a free variable: the KKT matrix is never regular, so it is
+        # shifted from its first factorization, and with a linear term this
+        # large that step overflows; there is no further shift to try
         with np.errstate(all="ignore"):
             sol = qp.solve(qp.QuadProgram(p_mat=[[0.0]], q_vec=[1e292]))
         assert sol.status is qp.QpStatus.MAX_ITERATIONS
-        assert sol.events["regularization_escalations"] >= sol.iterations >= 1
+        assert sol.iterations == 1
+        assert sol.events == {"reduced_step_fallbacks": 0, "regularization_escalations": 0}
+
+    def test_regularization_escalations_counted(self):
+        # a numerically rank-one P (sigma_min / sigma_max below 1e-16) on two
+        # boxed variables: the unshifted matrix passes as regular, but its
+        # factorization gives no finite step at some iterates, and each is
+        # refactored once with the shift
+        prob = qp.QuadProgram(
+            p_mat=[[1.5459970036810979e106, -1.4317709913830438e106],
+                   [-1.4317709913830438e106, 1.3259845697533082e106]],
+            q_vec=[-1.1673153846865798e-144, 2.1558768237659765e-145],
+            lower=[-3.566419557413036e74, -1.779527783555463e-70],
+            upper=[3.566419557413036e74, 1.779527783555463e-70],
+        )
+        with np.errstate(all="ignore"):
+            sol = qp.solve(prob)
+        assert sol.status is qp.QpStatus.OPTIMAL
+        assert max(qp.kkt_residuals(sol)) <= 1e-9
+        assert sol.events["regularization_escalations"] >= 1
         assert sol.events["reduced_step_fallbacks"] == 0
 
     def test_infeasible_reports_no_events(self):
